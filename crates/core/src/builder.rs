@@ -385,8 +385,8 @@ impl<'f> SamplerBuilder<'f> {
 /// `AnySampler` implements [`WitnessSampler`] by delegation, is `Clone +
 /// Send + Sync` (the heavyweight prepared state is `Arc`-shared, only the
 /// incremental solver is duplicated), and therefore drops into
-/// [`SamplerService`], [`crate::ParallelSampler`], or any generic harness
-/// exactly like the concrete types do.
+/// [`SamplerService`] or any generic harness exactly like the concrete
+/// types do.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 #[allow(clippy::large_enum_variant)] // lint: prepared samplers are built once and long-lived; boxing the UniGen variant would buy nothing but an extra indirection on every delegated call

@@ -19,13 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use unigen_satsolver::{FaultHook, FaultSite};
 
-/// The SplitMix64 finaliser, the workspace's standard seed mixer.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::mix::splitmix64;
 
 /// A seeded, deterministic fault-injection schedule.
 ///

@@ -30,8 +30,6 @@
 //! made concrete and shaped for an RPC boundary. See
 //! [`WitnessSampler::sample_batch`] for the serial reference semantics and
 //! the [`service`] module docs for the contract.
-//! [`ParallelSampler`] remains as a thin compatibility wrapper over a
-//! single-request service.
 //!
 //! With [`UniGenConfig::certify`] the persistent solver additionally logs a
 //! DRAT-style proof of every cell enumeration, verified online by the
@@ -91,7 +89,7 @@ mod config;
 mod error;
 mod fault;
 mod kappa_pivot;
-mod parallel;
+mod mix;
 mod sampler;
 pub mod service;
 mod unigen;
@@ -107,7 +105,7 @@ pub use config::UniGenConfig;
 pub use error::{BuildError, SamplerError, ServiceConfigError, TrySubmitError};
 pub use fault::FaultPlan;
 pub use kappa_pivot::{compute_kappa_pivot, KappaPivot};
-pub use parallel::ParallelSampler;
+pub use mix::{fnv1a, fnv1a_extend, splitmix64, SPLITMIX64_GAMMA};
 pub use sampler::{OutcomeKind, SampleOutcome, SampleStats, WitnessSampler};
 pub use service::{
     ResponseHandle, SampleRequest, SampleResponse, SamplerService, ServiceConfig, ServiceHealth,
@@ -116,3 +114,17 @@ pub use unigen::{PreparedMode, UniGen};
 pub use uniwit::{UniWit, UniWitConfig};
 pub use us::UniformSampler;
 pub use xorsample::{XorSamplePrime, XorSamplePrimeConfig};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
+}

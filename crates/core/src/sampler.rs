@@ -6,6 +6,8 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use unigen_cnf::{Model, Var};
 
+use crate::mix::{mix64, SPLITMIX64_GAMMA};
+
 /// Statistics describing the work a single sample cost.
 ///
 /// These are the quantities the paper's tables report per benchmark: the
@@ -105,9 +107,9 @@ impl SampleStats {
 
 /// Returns the dedicated RNG stream for sample `index` of a batch seeded
 /// with `master_seed` — the stream-derivation rule shared by the serial
-/// [`WitnessSampler::sample_batch`] reference and [`crate::ParallelSampler`].
+/// [`WitnessSampler::sample_batch`] reference and [`crate::SamplerService`].
 ///
-/// The pair is mixed through a SplitMix64 finalizer rather than a plain
+/// The pair is mixed through the SplitMix64 finalizer rather than a plain
 /// `master_seed ^ index`: XOR alone maps batches with nearby master seeds to
 /// the *same set* of streams in permuted order (e.g. seeds 0 and 1 over
 /// indices `0..16` both yield streams seeded `{0, …, 15}`), silently
@@ -115,10 +117,9 @@ impl SampleStats {
 /// needs this to be a pure function of `(master_seed, index)`, which the mix
 /// preserves.
 pub(crate) fn stream_for_index(master_seed: u64, index: usize) -> StdRng {
-    let mut z = master_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
+    StdRng::seed_from_u64(mix64(
+        master_seed ^ (index as u64).wrapping_mul(SPLITMIX64_GAMMA),
+    ))
 }
 
 /// Sorts a cell's witnesses into the canonical order: ascending by their
@@ -129,8 +130,8 @@ pub(crate) fn stream_for_index(master_seed: u64, index: usize) -> StdRng {
 /// members depends on heuristic state (activities, saved phases) accumulated
 /// over earlier calls. Every sampler in this crate picks a uniform witness by
 /// index, so sorting first makes the picked witness a function of the cell
-/// and the RNG alone — the property the deterministic parallel batch engine
-/// ([`crate::ParallelSampler`]) relies on to produce bit-identical output
+/// and the RNG alone — the property the deterministic batch engine
+/// ([`crate::SamplerService`]) relies on to produce bit-identical output
 /// regardless of how samples are scheduled across worker solvers.
 pub(crate) fn sort_witnesses_canonically(witnesses: &mut [Model], sampling_set: &[Var]) {
     // Comparing from the *last* sampling-set variable down makes the
@@ -270,9 +271,9 @@ pub trait WitnessSampler {
     /// each sample owns an RNG stream derived from its *index* (not from
     /// however many draws earlier samples consumed), the witness at position
     /// `i` is a function of the sampler's prepared state, `master_seed` and
-    /// `i` alone. [`crate::ParallelSampler`] exploits exactly this to fan the
+    /// `i` alone. [`crate::SamplerService`] exploits exactly this to fan the
     /// index range out over a pool of worker solvers while reproducing this
-    /// method's output bit for bit, at any thread count.
+    /// method's output bit for bit, at any worker count.
     ///
     /// The determinism contract requires per-`BSAT` budgets that never
     /// trigger (the default unlimited [`unigen_satsolver::Budget`]): a

@@ -1,11 +1,10 @@
 //! The sampling service: typed requests and responses over a **persistent**
 //! work-stealing worker pool.
 //!
-//! The paper observes that witness generation is "embarrassingly parallel";
-//! [`crate::ParallelSampler`] (PR 4) proved it with a per-call thread scope
-//! and static contiguous chunking. This module is the serving-shaped
-//! evolution of that engine, designed so the sampler can later sit behind an
-//! async RPC boundary:
+//! The paper observes that witness generation is "embarrassingly parallel"
+//! (the scaling axis UniGen2 later built a distributed system on). This
+//! module is the crate's one parallel batch engine, shaped so the sampler
+//! can sit behind an RPC boundary:
 //!
 //! * **Persistent pool.** A [`SamplerService`] spawns its workers once, at
 //!   construction, and each worker clones the prepared sampler exactly once
@@ -15,8 +14,8 @@
 //!   Requests then flow through the same pool for the service's whole
 //!   lifetime; nothing is re-cloned or re-spawned per batch.
 //! * **Work stealing.** Each request's sample indices are dealt into
-//!   per-worker deques in contiguous chunks (the same shape as the old
-//!   static partition), but an idle worker *steals* from the back of the
+//!   per-worker deques in contiguous chunks (the shape of a static
+//!   partition), but an idle worker *steals* from the back of the
 //!   busiest other deque instead of going to sleep. Per-sample cost is
 //!   highly variable — a cell that needs `BSAT` retries is roughly an order
 //!   of magnitude dearer than one accepted at the first width — and under
@@ -46,15 +45,33 @@
 //! is **bit-identical** to `sample_batch(count, master_seed)` on a clone of
 //! the prototype, per request, at any worker count.
 //!
-//! The scope notes of [`crate::ParallelSampler`] carry over verbatim (the
-//! guarantee covers the projection onto the sampling set), with one
-//! addition: a [`SampleRequest::budget`] deadline, once expired, makes
-//! workers complete the request's not-yet-started samples as typed
+//! Three scope notes. First, the guarantee covers each witness's
+//! projection onto the sampling set — the part of a model on which
+//! distinctness, uniformity and the Theorem 1 envelope are defined. The
+//! *completion* of the remaining variables is pinned down too whenever the
+//! sampling set functionally determines them (the independent-support
+//! setting the sampler is meant for, and true of every bundled circuit
+//! benchmark, where all internal signals are functions of the inputs); for
+//! a sampling set that genuinely under-determines the formula, different
+//! worker counts may complete the non-sampling variables differently, since
+//! the completion comes from a worker solver's heuristic state.
+//!
+//! Second, per-`BSAT` budgets must never fire (the default unlimited
+//! [`unigen_satsolver::Budget`] trivially satisfies this): a wall-clock or
+//! conflict cutoff triggers depending on accumulated per-worker solver
+//! state, which is exactly the state workers do not share. A budget that
+//! does fire does not *silently* diverge — the affected samples complete as
+//! typed [`OutcomeKind::Interrupted`] outcomes, so the guarantee narrows to
+//! the successfully completed indices instead of voiding wholesale (and
+//! deterministically injected faults absorbed by the recovery ladder keep
+//! the sequence bit-identical; see [`crate::FaultPlan`]).
+//!
+//! Third, a [`SampleRequest::budget`] deadline, once expired, makes workers
+//! complete the request's not-yet-started samples as typed
 //! [`OutcomeKind::Interrupted`] outcomes when they reach them. *Which*
 //! samples get cut depends on wall-clock timing, but every outcome that
 //! does complete as a witness is still the deterministic witness for its
-//! index — interruption narrows the guarantee to the completed samples
-//! instead of voiding it. Requests whose budget never fires are unaffected.
+//! index. Requests whose budget never fires are unaffected.
 //!
 //! # Robustness
 //!
@@ -500,8 +517,8 @@ impl SamplerService {
     }
 
     /// Admits `request` under the scheduler lock: deals its indices into the
-    /// per-worker deques in contiguous chunks (the same initial shape as the
-    /// old static partition — stealing, not the deal, is what absorbs skew)
+    /// per-worker deques in contiguous chunks (the initial shape of a static
+    /// partition — stealing, not the deal, is what absorbs skew)
     /// and wakes the pool.
     fn admit(&self, mut sched: MutexGuard<'_, Sched>, request: SampleRequest) -> ResponseHandle {
         let now = Instant::now();
@@ -1146,7 +1163,7 @@ mod tests {
     /// Work-stealing fairness: with every expensive sample concentrated in
     /// the first worker's chunk, idle workers must steal the skew away
     /// instead of letting one deque serialise the batch (which is exactly
-    /// what the old static partition did).
+    /// what a static partition would do).
     #[test]
     fn stealing_spreads_an_adversarially_skewed_chunk() {
         const COUNT: usize = 64;

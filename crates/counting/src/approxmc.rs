@@ -191,7 +191,6 @@ impl ApproxMc {
         }
 
         let family = XorHashFamily::new(sampling_set.to_vec());
-        let max_width = sampling_set.len();
         let iterations = self.config.num_iterations();
         let mut estimates: Vec<u128> = Vec::with_capacity(iterations);
         let mut failed = 0usize;
@@ -209,9 +208,7 @@ impl ApproxMc {
                 &mut solver,
                 sampling_set,
                 &family,
-                pivot,
                 start,
-                max_width,
                 &mut rng,
                 &mut bsat_calls,
             ) {
@@ -237,21 +234,20 @@ impl ApproxMc {
         })
     }
 
-    /// One `ApproxMCCore` run: find a hash width whose random cell holds
-    /// between 1 and `pivot` witnesses. Returns the cell size and the width.
-    #[allow(clippy::too_many_arguments)]
+    /// One `ApproxMCCore` run: find a hash width in
+    /// `start_width..=|sampling_set|` whose random cell holds between 1 and
+    /// `pivot` witnesses. Returns the cell size and the width.
     fn core<R: Rng + ?Sized>(
         &self,
         solver: &mut Solver,
         sampling_set: &[Var],
         family: &XorHashFamily,
-        pivot: u64,
         start_width: usize,
-        max_width: usize,
         rng: &mut R,
         bsat_calls: &mut usize,
     ) -> Option<(usize, usize)> {
-        for width in start_width..=max_width {
+        let pivot = self.config.pivot();
+        for width in start_width..=sampling_set.len() {
             let hash = family.sample(width, rng);
             let outcome = enumerate_cell(
                 solver,

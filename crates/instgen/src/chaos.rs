@@ -31,7 +31,7 @@
 use std::sync::Arc;
 
 use unigen::{
-    FaultPlan, SampleOutcome, SampleRequest, SampleStats, SamplerError, SamplerService,
+    splitmix64, FaultPlan, SampleOutcome, SampleRequest, SampleStats, SamplerError, SamplerService,
     ServiceConfig, ServiceHealth, UniGen, UniGenConfig, WitnessSampler,
 };
 use unigen_cnf::CnfFormula;
@@ -56,15 +56,6 @@ pub struct ChaosReport {
     pub service_respawns: u64,
     /// Human-readable description of the first violated invariant, if any.
     pub divergence: Option<String>,
-}
-
-/// SplitMix64 mixing step — the schedule derivation, kept independent of the
-/// vendored RNG shim so chaos schedules never drift with shim changes.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Builds the case's solver-level fault schedule. Calling this twice with

@@ -73,15 +73,8 @@ pub trait InstanceGenerator {
 }
 
 /// FNV-1a over bytes: the stable hash behind
-/// [`InstanceGenerator::fingerprint`].
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// [`InstanceGenerator::fingerprint`] (re-exported from [`unigen`]).
+pub use unigen::fnv1a;
 
 /// Fisher–Yates shuffle. The vendored `rand` shim has no `SliceRandom`, so
 /// the generators share this helper; it consumes exactly `len - 1` range
@@ -98,14 +91,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn shuffle_is_a_permutation_and_seed_deterministic() {

@@ -62,16 +62,20 @@
 //! back to the blocking submit path. The run ends with a
 //! [`unigen::ServiceHealth`] summary.
 //!
-//! On the legacy path, `--jobs` still works but is deprecated in favour of
-//! `batch --jobs`: sample `i` draws its randomness from a dedicated stream
-//! derived from `(seed, i)`, so the emitted witness sequence is identical
-//! for every worker count (including `--jobs 1`) — unless `--timeout` is
-//! also given: a per-`BSAT` cutoff fires based on each worker solver's
-//! private accumulated state, which can make different samples fail at
-//! different worker counts (the CLI warns when the two flags are combined;
-//! the same caveat applies to `batch --timeout`). Without `--jobs`, the
-//! historical serial behaviour (one RNG consumed across all samples) is
-//! preserved.
+//! Without `batch`, `--jobs N` is the `batch` path with one request: sample
+//! `i` draws its randomness from the dedicated stream derived from
+//! `(seed, i)`, so the emitted witness sequence is identical for every
+//! worker count (including `--jobs 1`) and equals `batch --jobs N` — unless
+//! `--timeout` is also given: a per-`BSAT` cutoff fires based on each worker
+//! solver's private accumulated state, which can make different samples
+//! fail at different worker counts (the CLI warns when the two flags are
+//! combined). Without `--jobs` or `batch`, the historical serial behaviour
+//! (one RNG consumed across all samples) is preserved.
+//!
+//! With `--certify`, the service paths report what the workers checked:
+//! each worker certifies its own clone of the prepared sampler, so the
+//! summary sums the outcomes' proof checks, and any `faulted` outcome (a
+//! cell whose proof failed to check) fails the run with exit code 1.
 //!
 //! The sampling set is taken from `c ind … 0` comment lines in the input
 //! file (the convention of the original UniGen benchmark suite); without
@@ -85,8 +89,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use unigen::{
-    OutcomeKind, ParallelSampler, PreparedMode, SampleOutcome, SampleRequest, SamplerBuilder,
-    SamplerService, ServiceConfig, TrySubmitError, UniGen, WitnessSampler,
+    OutcomeKind, PreparedMode, SampleOutcome, SampleRequest, SamplerBuilder, SamplerService,
+    ServiceConfig, TrySubmitError, UniGen, WitnessSampler,
 };
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
@@ -101,8 +105,9 @@ struct CliOptions {
     epsilon: f64,
     seed: u64,
     timeout: Option<Duration>,
-    /// `None` = historical serial sampling; `Some(0)` = one worker per core;
-    /// `Some(n)` = n workers (deterministic per-index streams either way).
+    /// `None` = historical serial sampling (unless `batch`); `Some(0)` = one
+    /// worker per core; `Some(n)` = n workers (deterministic per-index
+    /// streams either way).
     jobs: Option<usize>,
     /// Certified enumeration: solver-side proof logging plus the online
     /// independent checker.
@@ -340,51 +345,20 @@ fn run(options: &CliOptions) -> Result<(), String> {
         success
     };
 
-    if options.batch {
+    // `--jobs` without `batch` is the batch path with its default single
+    // request (master seed `seed + 0`).
+    if options.batch || options.jobs.is_some() {
         return run_batch(options, sampler, &emit);
     }
 
+    // Historical serial behaviour: one RNG consumed across samples, each
+    // witness streamed out as soon as it is produced (no buffering of the
+    // whole run).
     let mut produced = 0usize;
-    match options.jobs {
-        Some(jobs) => {
-            eprintln!(
-                "c note: the `--jobs` flag path is deprecated; prefer the service-backed \
-                 `unigen_cli batch --jobs N` subcommand"
-            );
-            // The deterministic batch path: per-index RNG streams fanned out
-            // over a worker pool (0 = one worker per core). The witness
-            // sequence is identical for every worker count.
-            if options.timeout.is_some() {
-                eprintln!(
-                    "c warning: --timeout makes BSAT cutoffs depend on per-worker solver state, \
-                     so the witness sequence may differ between --jobs values"
-                );
-            }
-            let pool = ParallelSampler::new(sampler.clone());
-            let pool = if jobs == 0 {
-                pool
-            } else {
-                pool.with_jobs(jobs)
-            };
-            eprintln!("c sampling on {} worker thread(s)", pool.jobs());
-            for (i, outcome) in pool
-                .sample_batch(options.samples, options.seed)
-                .iter()
-                .enumerate()
-            {
-                produced += usize::from(emit(i, outcome));
-            }
-        }
-        None => {
-            // Historical serial behaviour: one RNG consumed across samples,
-            // each witness streamed out as soon as it is produced (no
-            // buffering of the whole run).
-            let mut rng = StdRng::seed_from_u64(options.seed);
-            for i in 0..options.samples {
-                let outcome = sampler.sample(&mut rng);
-                produced += usize::from(emit(i, &outcome));
-            }
-        }
+    let mut rng = StdRng::seed_from_u64(options.seed);
+    for i in 0..options.samples {
+        let outcome = sampler.sample(&mut rng);
+        produced += usize::from(emit(i, &outcome));
     }
     if options.certify {
         if let Some(err) = sampler.cert_error() {
@@ -411,13 +385,6 @@ fn run(options: &CliOptions) -> Result<(), String> {
         // The persistent incremental solver's lifetime counters: how many
         // per-cell guards were cycled and how much learned knowledge was
         // scoped to cells (retired) versus kept across them (retained).
-        // (Under --jobs each worker owns a solver clone; the counters below
-        // describe the preparation-phase solver only.)
-        if options.jobs.is_some() {
-            eprintln!(
-                "c solver counters below cover the preparation phase only (workers own clones)"
-            );
-        }
         let stats = sampler.solver_stats();
         eprintln!("c solver: {stats}");
         eprintln!(
@@ -451,14 +418,23 @@ fn kind_name(kind: OutcomeKind) -> &'static str {
     }
 }
 
-/// One SplitMix64 mixing step — the same generator family the samplers use
-/// for their per-index streams, reused here to derive deterministic
-/// backoff jitter from the seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
+/// The `--certify` verdict of a service run. The workers sample (and
+/// certify) their own clones of the prepared sampler, so the verdict comes
+/// from the outcomes: the total number of proof checks, or an error when any
+/// outcome is `Faulted` (a cell whose proof failed to check, or a worker
+/// that gave up).
+fn certify_verdict(outcomes: &[SampleOutcome]) -> Result<usize, String> {
+    let faulted = outcomes
+        .iter()
+        .filter(|o| o.kind == OutcomeKind::Faulted)
+        .count();
+    if faulted > 0 {
+        return Err(format!(
+            "proof certification failed: {faulted} of {} samples faulted",
+            outcomes.len()
+        ));
+    }
+    Ok(outcomes.iter().map(|o| o.stats.cert_checks).sum())
 }
 
 /// Bounded deterministic backoff for a `QueueFull` rejection: exponential
@@ -467,12 +443,13 @@ fn splitmix64(mut x: u64) -> u64 {
 /// desynchronise instead of retrying in lockstep.
 fn backoff_delay(seed: u64, request_index: usize, attempt: usize) -> Duration {
     let base = 250u64 << attempt.min(6) as u32;
-    let jitter = splitmix64(seed ^ ((request_index as u64) << 32) ^ attempt as u64) % 1000;
+    let jitter = unigen::splitmix64(seed ^ ((request_index as u64) << 32) ^ attempt as u64) % 1000;
     Duration::from_micros(base + jitter)
 }
 
-/// The `batch` subcommand: drive the persistent request/response service and
-/// report the round-trip statistics of every request.
+/// The service path (`batch`, or `--jobs` without it): drive the persistent
+/// request/response service and report the round-trip statistics of every
+/// request.
 fn run_batch(
     options: &CliOptions,
     sampler: UniGen,
@@ -538,6 +515,7 @@ fn run_batch(
     let mut produced = 0usize;
     let mut emitted = 0usize;
     let mut totals = unigen::SampleStats::default();
+    let mut cert_checks = 0usize;
     for (r, (mut handle, submit_retries)) in handles.into_iter().enumerate() {
         let request = handle.request();
         for outcome in handle.by_ref() {
@@ -561,8 +539,14 @@ fn run_batch(
             response.aggregate_stats.degradations,
             response.aggregate_stats.faults_injected
         );
+        if options.certify {
+            cert_checks += certify_verdict(&response.outcomes)?;
+        }
     }
 
+    if options.certify {
+        eprintln!("c certified: {cert_checks} proof checks verified by the independent checker");
+    }
     eprintln!(
         "c produced {produced}/{} witnesses (observed success probability {:.2})",
         options.samples,
@@ -1143,7 +1127,7 @@ mod tests {
         assert_eq!(options.requests, 4);
         assert_eq!(options.queue, 2);
         assert_eq!(options.jobs, Some(3));
-        // Batch-only options are rejected on the legacy path, and zero
+        // Batch-only options are rejected without `batch`, and zero
         // requests/queue are rejected outright.
         assert!(!parse_args(&args(&["a.cnf"])).unwrap().batch);
         assert!(parse_args(&args(&["--requests", "4", "a.cnf"])).is_err());
@@ -1211,12 +1195,18 @@ mod tests {
         assert!(!bytes.is_empty());
         unigen_cert::Checker::check(&unigen::cert_formula(&formula), &bytes).unwrap();
         let _ = std::fs::remove_file(&dump);
-        // The deprecated parallel flag path on the same file.
+        // `--jobs` without `batch` (the single-request service path), with
+        // the certify verdict taken from the workers' outcomes.
         let options = CliOptions {
             jobs: Some(2),
             ..options
         };
         run(&options).unwrap();
+        run(&CliOptions {
+            certify: true,
+            ..options.clone()
+        })
+        .unwrap();
         // The service-backed batch subcommand path, multiple requests.
         let options = CliOptions {
             batch: true,
@@ -1227,5 +1217,24 @@ mod tests {
         };
         run(&options).unwrap();
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn certify_verdict_sums_checks_and_fails_on_a_faulted_outcome() {
+        use unigen::SampleStats;
+        let checked = |cert_checks| {
+            SampleOutcome::of_witness(
+                unigen_cnf::Model::new(vec![true]),
+                SampleStats {
+                    cert_checks,
+                    ..SampleStats::default()
+                },
+            )
+        };
+        assert_eq!(certify_verdict(&[]), Ok(0));
+        assert_eq!(certify_verdict(&[checked(2), checked(3)]), Ok(5));
+        let faulted = SampleOutcome::faulted(SampleStats::default());
+        let err = certify_verdict(&[checked(2), faulted]).unwrap_err();
+        assert!(err.contains("1 of 2 samples faulted"), "{err}");
     }
 }

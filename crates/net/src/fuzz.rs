@@ -12,18 +12,19 @@
 //!
 //! [`FrameError`]: crate::wire::FrameError
 
+use unigen::SPLITMIX64_GAMMA;
+
 use crate::wire::{
     put_varint, Decoder, ErrorCode, Family, FormulaRef, Frame, WireHealth, WireOutcomeKind,
     WireSpec, WireStats, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
-/// SplitMix64 step (same generator the fuzz harnesses use).
+/// The stateful SplitMix64 generator: returns the next output and steps
+/// `state` by the gamma.
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let out = unigen::splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
+    out
 }
 
 fn random_frame(rng: &mut u64) -> Frame {
@@ -146,7 +147,7 @@ pub enum Corruption {
 /// Reproduce a failing case `i` with:
 /// `NET_FUZZ_START=i NET_FUZZ_CASES=1 cargo test -p unigen-net --test fuzz_frames`
 pub fn frame_corruption_case(case: u64) -> Result<Corruption, String> {
-    let mut rng = case.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5851_f42d_4c95_7f2d;
+    let mut rng = case.wrapping_mul(SPLITMIX64_GAMMA) ^ 0x5851_f42d_4c95_7f2d;
 
     // 1. A clean multi-frame stream must decode byte-for-byte.
     let frame_count = 1 + (splitmix64(&mut rng) % 4) as usize;

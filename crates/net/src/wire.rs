@@ -985,19 +985,6 @@ pub fn unpack_bits(bits: &[u8], n: usize) -> Option<Vec<bool>> {
 // Fingerprinting
 // ---------------------------------------------------------------------------
 
-/// FNV-1a offset basis (matches `unigen-instgen`'s published vectors).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Content fingerprint of a prepared formula+spec pair.
 ///
 /// FNV-1a over the canonical DIMACS text (as produced by
@@ -1006,7 +993,7 @@ fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 /// byte, ε flag + bits, prepare seed). Two requests with the same
 /// fingerprint are guaranteed to share one prepared `SamplerService`.
 pub fn fingerprint(canonical_dimacs: &[u8], spec: &WireSpec) -> u64 {
-    let hash = fnv1a_extend(FNV_OFFSET, canonical_dimacs);
+    let hash = unigen::fnv1a(canonical_dimacs);
     let mut tail = Vec::with_capacity(18);
     tail.push(spec.family.as_u8());
     match spec.epsilon_bits {
@@ -1017,7 +1004,7 @@ pub fn fingerprint(canonical_dimacs: &[u8], spec: &WireSpec) -> u64 {
         None => tail.push(0),
     }
     tail.extend_from_slice(&spec.prepare_seed.to_le_bytes());
-    fnv1a_extend(hash, &tail)
+    unigen::fnv1a_extend(hash, &tail)
 }
 
 #[cfg(test)]

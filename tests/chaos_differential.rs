@@ -18,18 +18,9 @@
 //!   `CHAOS_FUZZ_START=<index> CHAOS_FUZZ_CASES=1` replays exactly the
 //!   failing case, and `config.generate(seed)` rebuilds its formula.
 
+use unigen::splitmix64;
 use unigen_instgen::chaos::chaos_case;
 use unigen_instgen::{InstanceGenerator, ScaleFreeConfig, SgenConfig, TriangleFreeConfig};
-
-/// SplitMix64: the per-case seed stream (independent of the vendored RNG so
-/// case derivation can never drift with shim changes). Identical to the
-/// differential fuzz sweep's, so both sweeps cover the same corpus.
-fn splitmix64(index: u64) -> u64 {
-    let mut z = index.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Derives case `index`: a generator config (rotating over the four
 /// families, with shape knobs drawn from the case's seed stream) plus the

@@ -1,5 +1,5 @@
-//! The parallel batch engine's determinism contract, checked end to end:
-//! `ParallelSampler::sample_batch(n, seed)` must reproduce the serial
+//! The batch engine's determinism contract, checked end to end: a
+//! `SamplerService` request for `(n, seed)` must reproduce the serial
 //! `WitnessSampler::sample_batch` witness sequence bit for bit at every
 //! worker count, and the witnesses flowing through the parallel path must
 //! stay (almost) uniform.
@@ -9,8 +9,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use unigen::{
-    ParallelSampler, PreparedMode, SampleOutcome, SampleRequest, SampleStats, SamplerService,
-    ServiceConfig, UniGen, UniGenConfig, UniWit, UniWitConfig, WitnessSampler,
+    PreparedMode, SampleOutcome, SampleRequest, SampleStats, SamplerService, ServiceConfig, UniGen,
+    UniGenConfig, WitnessSampler,
 };
 use unigen_cnf::{CnfFormula, Var, XorClause};
 
@@ -40,52 +40,6 @@ fn witness_sequence(outcomes: &[SampleOutcome]) -> Vec<Option<Vec<bool>>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// For random formula shapes, batch sizes and master seeds, worker
-    /// counts 1, 2 and 8 all reproduce the serial witness sequence exactly —
-    /// the identity holds in both prepared modes (enumerated and hashed).
-    #[test]
-    fn parallel_batches_equal_serial_batches(
-        bits in 3usize..8,
-        extra in 0usize..4,
-        count in 1usize..10,
-        master_seed in 0u64..1_000_000,
-    ) {
-        let f = formula_with_count(bits, extra);
-        let prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
-        let serial = prepared.clone().sample_batch(count, master_seed);
-        for jobs in [1usize, 2, 8] {
-            let pool = ParallelSampler::new(prepared.clone()).with_jobs(jobs);
-            let batch = pool.sample_batch(count, master_seed);
-            prop_assert_eq!(
-                witness_sequence(&batch),
-                witness_sequence(&serial),
-                "jobs = {} diverged from the serial reference",
-                jobs
-            );
-        }
-    }
-
-    /// The contract is not UniGen-specific: UniWit's per-sample width search
-    /// rides the same per-index streams and canonical cell ordering.
-    #[test]
-    fn uniwit_parallel_batches_equal_serial_batches(
-        bits in 4usize..9,
-        count in 1usize..8,
-        master_seed in 0u64..1_000_000,
-    ) {
-        let mut f = CnfFormula::new(bits);
-        f.add_clause([Var::new(0).positive(), Var::new(1).positive()]).unwrap();
-        let prepared = UniWit::new(&f, UniWitConfig::default()).unwrap();
-        let serial = prepared.clone().sample_batch(count, master_seed);
-        for jobs in [2usize, 8] {
-            let pool = ParallelSampler::new(prepared.clone()).with_jobs(jobs);
-            prop_assert_eq!(
-                witness_sequence(&pool.sample_batch(count, master_seed)),
-                witness_sequence(&serial)
-            );
-        }
-    }
 
     /// The service path honours the same contract under *concurrent
     /// interleaved* requests: two requests with distinct master seeds and
@@ -183,8 +137,11 @@ fn parallel_path_is_almost_uniform_chi_square() {
     );
     let sampling = f.sampling_set().unwrap().to_vec();
 
-    let pool = ParallelSampler::new(prepared).with_jobs(8);
-    let batch = pool.sample_batch(1200, 0x5eed);
+    let service = SamplerService::new(prepared, ServiceConfig::default().with_workers(8));
+    let batch = service
+        .submit(SampleRequest::new(1200, 0x5eed))
+        .wait()
+        .outcomes;
     let mut counts: HashMap<u64, u64> = HashMap::new();
     let mut successes = 0u64;
     for outcome in &batch {
@@ -223,20 +180,26 @@ fn parallel_path_is_almost_uniform_chi_square() {
     );
 }
 
-/// The partitioning edge cases: empty batches, more workers than samples,
+/// The scheduling edge cases: empty batches, more workers than samples,
 /// and a worker count of zero all behave.
 #[test]
 fn parallel_batch_edge_cases() {
     let f = formula_with_count(4, 1);
     let prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
-    let pool = ParallelSampler::new(prepared.clone());
-    assert!(pool.sample_batch(0, 3).is_empty());
+    let service = SamplerService::new(prepared.clone(), ServiceConfig::default().with_workers(8));
+    assert!(service
+        .submit(SampleRequest::new(0, 3))
+        .wait()
+        .outcomes
+        .is_empty());
 
-    let pool = ParallelSampler::new(prepared.clone()).with_jobs(0);
-    assert_eq!(pool.jobs(), 1);
+    assert!(
+        SamplerService::try_new(prepared.clone(), ServiceConfig::default().with_workers(0))
+            .is_err()
+    );
 
-    let pool = ParallelSampler::new(prepared.clone()).with_jobs(64);
-    let batch = pool.sample_batch(3, 9);
+    let service = SamplerService::new(prepared.clone(), ServiceConfig::default().with_workers(64));
+    let batch = service.submit(SampleRequest::new(3, 9)).wait().outcomes;
     assert_eq!(batch.len(), 3);
     assert_eq!(
         witness_sequence(&batch),

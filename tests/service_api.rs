@@ -240,26 +240,3 @@ fn aggregate_stats_is_the_accumulate_fold() {
     assert!(response.aggregate_stats.bsat_calls >= 10);
     assert!(response.round_trip.as_nanos() > 0);
 }
-
-/// The compatibility wrapper and the service agree: `ParallelSampler` (now a
-/// thin wrapper over a single-request service) matches a directly-driven
-/// service and the static-chunk ablation scheduler.
-#[test]
-fn parallel_sampler_wrapper_matches_direct_service_use() {
-    use unigen::ParallelSampler;
-    let f = formula_with_count(8, 2);
-    let prepared = SamplerBuilder::unigen(&f).build().unwrap();
-    let pool = ParallelSampler::new(prepared.clone()).with_jobs(4);
-    let via_wrapper = pool.sample_batch(12, 0xdac2014);
-    let via_static = pool.sample_batch_static_chunks(12, 0xdac2014);
-    let service = SamplerService::new(prepared, ServiceConfig::default().with_workers(4));
-    let via_service = service.submit(SampleRequest::new(12, 0xdac2014)).wait();
-    assert_eq!(
-        witness_sequence(&via_wrapper),
-        witness_sequence(&via_service.outcomes)
-    );
-    assert_eq!(
-        witness_sequence(&via_static),
-        witness_sequence(&via_service.outcomes)
-    );
-}
