@@ -21,7 +21,7 @@ use rand::Rng;
 
 use unigen_cnf::{CnfFormula, Var};
 use unigen_hashing::XorHashFamily;
-use unigen_satsolver::{enumerate_cell, Budget, Solver};
+use unigen_satsolver::{enumerate_cell, Budget, Solver, SolverStats};
 
 use crate::error::CountingError;
 
@@ -88,6 +88,9 @@ pub struct ApproxMcResult {
     pub failed_iterations: usize,
     /// Total number of `BSAT` (bounded enumeration) calls issued.
     pub bsat_calls: usize,
+    /// Search counters of the one incremental solver every `BSAT` call ran
+    /// on: the work behind the estimate.
+    pub solver_stats: SolverStats,
 }
 
 /// The approximate model counter.
@@ -187,6 +190,7 @@ impl ApproxMc {
                 iteration_estimates: vec![outcome.len() as u128],
                 failed_iterations: 0,
                 bsat_calls,
+                solver_stats: *solver.stats(),
             });
         }
 
@@ -231,6 +235,7 @@ impl ApproxMc {
             iteration_estimates: estimates,
             failed_iterations: failed,
             bsat_calls,
+            solver_stats: *solver.stats(),
         })
     }
 

@@ -128,8 +128,8 @@ enum Reason {
     Clause(ClauseRef),
     /// Implied by an xor constraint.
     Xor(XorRef),
-    /// Implied by a Gauss–Jordan matrix row; the antecedents were stored
-    /// eagerly in the gauss engine, keyed by the implied variable.
+    /// Implied by a Gauss–Jordan matrix row; the antecedents were copied
+    /// eagerly into the gauss engine's per-variable reason buffer.
     Gauss,
     /// Asserted at level zero with no recorded antecedent (top-level unit).
     Unit,
@@ -197,6 +197,13 @@ pub struct Solver {
     xor_scratch: Vec<XorPropagation>,
     /// Reusable marker buffer for clause minimisation.
     minimise_marked: Vec<bool>,
+    /// Reusable antecedent buffer for conflict analysis and minimisation.
+    analyze_lits: Vec<Lit>,
+    /// Reusable list of the variables conflict analysis marked `seen`.
+    analyze_seen: Vec<Var>,
+    /// Reusable per-decision-level marker for counting a learnt clause's
+    /// LBD.
+    lbd_marked: Vec<bool>,
     /// Gauss–Jordan matrices over guarded xor layers.
     gauss: GaussEngine,
     /// Reusable buffer for gauss propagation results.
@@ -243,6 +250,9 @@ impl Solver {
             guarded_clauses: HashMap::new(),
             xor_scratch: Vec::new(),
             minimise_marked: vec![false; num_vars],
+            analyze_lits: Vec::new(),
+            analyze_seen: Vec::new(),
+            lbd_marked: Vec::new(),
             gauss: GaussEngine::default(),
             gauss_scratch: Vec::new(),
             watched_guard_rows: HashMap::new(),
@@ -694,11 +704,7 @@ impl Solver {
                 // propagation is sound).
                 rows.extend(promoted);
             }
-            let outcome = {
-                let assign = &self.assign;
-                self.gauss
-                    .build(key, guard_lit, &rows, |v| assign[v.index()])
-            };
+            let outcome = self.gauss.build(key, guard_lit, &rows, &self.assign);
             match outcome {
                 BuildOutcome::LayerUnsat => {
                     // The rows combine to `0 = 1`: the guarded layer
@@ -716,11 +722,7 @@ impl Solver {
                     // Level-zero units may already satisfy or violate rows.
                     let mut results = std::mem::take(&mut self.gauss_scratch);
                     results.clear();
-                    {
-                        let assign = &self.assign;
-                        self.gauss
-                            .scan_matrix(key, &|v: Var| assign[v.index()], &mut results);
-                    }
+                    self.gauss.scan_matrix(key, &self.assign, &mut results);
                     if self.apply_gauss_results(&mut results).is_some() {
                         self.ok = false;
                     }
@@ -747,9 +749,7 @@ impl Solver {
                     Some(false) => {
                         // The row forces `lit`, which is already false: the
                         // entailed clause `reason ∨ lit` is the conflict.
-                        let mut lits = reason;
-                        lits.push(lit);
-                        self.gauss.set_conflict(lits);
+                        self.gauss.set_conflict(reason, lit);
                         self.stats.gauss_conflicts += 1;
                         conflict = Some(ConflictSource::Gauss);
                     }
@@ -1132,6 +1132,7 @@ impl Solver {
         );
         let var = lit.var();
         self.assign[var.index()] = Some(lit.is_positive());
+        self.gauss.set_value(var, Some(lit.is_positive()));
         self.level[var.index()] = self.decision_level();
         self.reason[var.index()] = reason;
         self.trail.push(lit);
@@ -1147,6 +1148,7 @@ impl Solver {
             let var = lit.var();
             self.vsids.save_phase(var, lit.is_positive());
             self.assign[var.index()] = None;
+            self.gauss.set_value(var, None);
             self.reason[var.index()] = Reason::Unit;
             self.vsids.insert(var);
         }
@@ -1301,59 +1303,63 @@ impl Solver {
         }
         let mut results = std::mem::take(&mut self.gauss_scratch);
         results.clear();
-        {
-            let assign = &self.assign;
-            self.gauss
-                .on_assign(var, |v| assign[v.index()], &mut results);
-        }
+        self.gauss.on_assign(var, &self.assign, &mut results);
         let conflict = self.apply_gauss_results(&mut results);
         self.gauss_scratch = results;
         self.stats.gauss_row_ops = self.gauss.row_ops;
         conflict
     }
 
-    /// Returns the antecedent literals of `lit` (the other literals of its
-    /// reason constraint, all currently false).
-    fn reason_lits(&mut self, lit: Lit) -> Vec<Lit> {
+    /// Appends the antecedent literals of `lit` (the other literals of its
+    /// reason constraint, all currently false) to `out`.
+    fn reason_lits(&mut self, lit: Lit, out: &mut Vec<Lit>) {
         match self.reason[lit.var().index()] {
-            Reason::Decision | Reason::Unit => Vec::new(),
+            Reason::Decision | Reason::Unit => {}
             Reason::Clause(cref) => {
                 self.clauses.bump_clause(cref);
-                self.clauses.iter_lits(cref).filter(|&l| l != lit).collect()
+                out.extend(self.clauses.iter_lits(cref).filter(|&l| l != lit));
             }
             Reason::Xor(xref) => {
                 let assign = &self.assign;
-                self.xors.reason_lits(xref, lit, |v| assign[v.index()])
+                self.xors.reason_lits(xref, lit, |v| assign[v.index()], out);
             }
-            Reason::Gauss => self.gauss.reason_for(lit.var()).to_vec(),
+            Reason::Gauss => out.extend_from_slice(self.gauss.reason_for(lit.var())),
         }
     }
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
     /// literal first), the backtrack level, and the clause's LBD.
+    ///
+    /// Antecedents are read into one reusable buffer, and the `seen` marks
+    /// are undone from a reusable list, so a resolution step allocates
+    /// nothing; the learnt clause is the only buffer a conflict allocates.
     fn analyze(&mut self, conflict: ConflictSource) -> (Vec<Lit>, u32, u32) {
         let current_level = self.decision_level();
         let mut learnt: Vec<Lit> = Vec::new();
         let mut counter: u32 = 0;
-        let mut to_clear: Vec<Var> = Vec::new();
+        let mut to_clear = std::mem::take(&mut self.analyze_seen);
+        let mut current = std::mem::take(&mut self.analyze_lits);
+        to_clear.clear();
+        current.clear();
 
-        let mut current_lits: Vec<Lit> = match conflict {
+        match conflict {
             ConflictSource::Clause(cref) => {
                 self.clauses.bump_clause(cref);
-                self.clauses.iter_lits(cref).collect()
+                current.extend(self.clauses.iter_lits(cref));
             }
             ConflictSource::Xor(xref) => {
                 let assign = &self.assign;
-                self.xors.conflict_lits(xref, |v| assign[v.index()])
+                self.xors
+                    .conflict_lits(xref, |v| assign[v.index()], &mut current);
             }
-            ConflictSource::Gauss => self.gauss.conflict_lits(),
-        };
+            ConflictSource::Gauss => current.extend_from_slice(self.gauss.conflict_lits()),
+        }
 
         let mut index = self.trail.len();
         let uip: Lit;
 
         loop {
-            for &q in &current_lits {
+            for &q in &current {
                 let var = q.var();
                 if self.seen[var.index()] || self.level[var.index()] == 0 {
                     continue;
@@ -1383,24 +1389,25 @@ impl Solver {
                 uip = p;
                 break;
             }
-            current_lits = self.reason_lits(p);
+            current.clear();
+            self.reason_lits(p, &mut current);
         }
 
-        let mut clause = Vec::with_capacity(learnt.len() + 1);
-        clause.push(!uip);
-        clause.extend(learnt);
+        let mut clause = learnt;
+        clause.insert(0, !uip);
 
         // Clause minimisation: drop literals whose reason is entirely covered
         // by other literals of the clause (cheap, non-recursive check).
-        let minimised = self.minimise(clause);
+        self.minimise(&mut clause, &mut current);
 
-        for var in to_clear {
+        for &var in &to_clear {
             self.seen[var.index()] = false;
         }
+        self.analyze_seen = to_clear;
+        self.analyze_lits = current;
 
         // Compute the backtrack level and place the literal with the highest
         // level (other than the asserting one) at position 1.
-        let mut clause = minimised;
         let (backtrack_level, lbd) = if clause.len() == 1 {
             (0, 1)
         } else {
@@ -1412,33 +1419,51 @@ impl Solver {
             }
             clause.swap(1, max_pos);
             let bt = self.level[clause[1].var().index()];
-            let mut levels: Vec<u32> = clause.iter().map(|l| self.level[l.var().index()]).collect();
-            levels.sort_unstable();
-            levels.dedup();
-            (bt, levels.len() as u32)
+            (bt, self.distinct_levels(&clause))
         };
 
         (clause, backtrack_level, lbd)
     }
 
-    /// Removes redundant literals from a learnt clause: a literal is
-    /// redundant if every antecedent of its variable is already present in
-    /// the clause (local / non-recursive minimisation). Uses a persistent
-    /// marker buffer instead of allocating one per conflict.
-    fn minimise(&mut self, clause: Vec<Lit>) -> Vec<Lit> {
-        for &lit in &clause {
+    /// Number of distinct decision levels among `clause`'s literals (its
+    /// LBD), counted with a persistent per-level marker.
+    fn distinct_levels(&mut self, clause: &[Lit]) -> u32 {
+        let mut count = 0;
+        for lit in clause {
+            let level = self.level[lit.var().index()] as usize;
+            if self.lbd_marked.len() <= level {
+                self.lbd_marked.resize(level + 1, false);
+            }
+            if !self.lbd_marked[level] {
+                self.lbd_marked[level] = true;
+                count += 1;
+            }
+        }
+        for lit in clause {
+            self.lbd_marked[self.level[lit.var().index()] as usize] = false;
+        }
+        count
+    }
+
+    /// Removes redundant literals from a learnt clause, in place: a literal
+    /// is redundant if every antecedent of its variable is already present
+    /// in the clause (local / non-recursive minimisation). Kept literals
+    /// keep their order. Uses a persistent marker buffer and the caller's
+    /// antecedent buffer, so it allocates nothing.
+    fn minimise(&mut self, clause: &mut Vec<Lit>, antecedents: &mut Vec<Lit>) {
+        for &lit in clause.iter() {
             self.minimise_marked[lit.var().index()] = true;
         }
-        let mut result = Vec::with_capacity(clause.len());
-        for (i, &lit) in clause.iter().enumerate() {
-            if i == 0 {
-                result.push(lit);
-                continue;
-            }
+        // Swap kept literals forward; the dropped ones collect behind
+        // `kept` so their marks can be cleared before truncating.
+        let mut kept = 1;
+        for i in 1..clause.len() {
+            let lit = clause[i];
             let redundant = match self.reason[lit.var().index()] {
                 Reason::Decision | Reason::Unit => false,
                 _ => {
-                    let antecedents = self.reason_lits(!lit);
+                    antecedents.clear();
+                    self.reason_lits(!lit, antecedents);
                     !antecedents.is_empty()
                         && antecedents.iter().all(|a| {
                             self.level[a.var().index()] == 0
@@ -1447,13 +1472,14 @@ impl Solver {
                 }
             };
             if !redundant {
-                result.push(lit);
+                clause.swap(kept, i);
+                kept += 1;
             }
         }
-        for &lit in &clause {
+        for &lit in clause.iter() {
             self.minimise_marked[lit.var().index()] = false;
         }
-        result
+        clause.truncate(kept);
     }
 
     fn attach_learnt(&mut self, clause: Vec<Lit>, lbd: u32) {

@@ -378,69 +378,58 @@ impl XorEngine {
         self.watches[var.index()].extend(retained);
     }
 
-    /// Returns the reason literals for `implied` being forced by constraint
-    /// `xref`: the falsified literals of every other variable of the
-    /// constraint, plus the (falsified) guard literal if the constraint is
-    /// guarded. Together with `implied` they form a clause entailed by the
-    /// (guarded) constraint under the current assignment.
+    /// Appends to `out` the reason literals for `implied` being forced by
+    /// constraint `xref`: the falsified literals of every other variable of
+    /// the constraint, plus the (falsified) guard literal if the constraint
+    /// is guarded. Together with `implied` they form a clause entailed by
+    /// the (guarded) constraint under the current assignment.
     ///
     /// When `implied` *is* the guard literal, the reason is the falsified
     /// literal of every constraint variable.
-    pub(crate) fn reason_lits<F>(&self, xref: XorRef, implied: Lit, value_of: F) -> Vec<Lit>
+    pub(crate) fn reason_lits<F>(&self, xref: XorRef, implied: Lit, value_of: F, out: &mut Vec<Lit>)
     where
         F: Fn(Var) -> Option<bool>,
     {
         let xor = &self.xors[xref as usize];
+        let falsified = |v: Var| {
+            let value = value_of(v).expect("reason variables must be assigned");
+            v.lit(!value)
+        };
         if xor.guard == Some(implied) {
-            return xor
-                .vars
-                .iter()
-                .map(|&v| {
-                    let value = value_of(v).expect("reason variables must be assigned");
-                    v.lit(!value)
-                })
-                .collect();
+            out.extend(xor.vars.iter().map(|&v| falsified(v)));
+            return;
         }
-        let mut lits: Vec<Lit> = xor
-            .vars
-            .iter()
-            .filter(|&&v| v != implied.var())
-            .map(|&v| {
-                let value = value_of(v).expect("reason variables must be assigned");
-                v.lit(!value)
-            })
-            .collect();
+        out.extend(
+            xor.vars
+                .iter()
+                .filter(|&&v| v != implied.var())
+                .map(|&v| falsified(v)),
+        );
         if let Some(g) = xor.guard {
             debug_assert_eq!(
                 value_of(g.var()).map(|v| g.evaluate(v)),
                 Some(false),
                 "a guarded constraint only implies literals while active"
             );
-            lits.push(g);
+            out.push(g);
         }
-        lits
     }
 
-    /// Returns the conflict literals for a violated constraint: the falsified
-    /// literals of *all* of its variables, plus the (falsified) guard literal
-    /// if the constraint is guarded.
-    pub(crate) fn conflict_lits<F>(&self, xref: XorRef, value_of: F) -> Vec<Lit>
+    /// Appends to `out` the conflict literals for a violated constraint: the
+    /// falsified literals of *all* of its variables, plus the (falsified)
+    /// guard literal if the constraint is guarded.
+    pub(crate) fn conflict_lits<F>(&self, xref: XorRef, value_of: F, out: &mut Vec<Lit>)
     where
         F: Fn(Var) -> Option<bool>,
     {
         let xor = &self.xors[xref as usize];
-        let mut lits: Vec<Lit> = xor
-            .vars
-            .iter()
-            .map(|&v| {
-                let value = value_of(v).expect("conflict variables must be assigned");
-                v.lit(!value)
-            })
-            .collect();
+        out.extend(xor.vars.iter().map(|&v| {
+            let value = value_of(v).expect("conflict variables must be assigned");
+            v.lit(!value)
+        }));
         if let Some(g) = xor.guard {
-            lits.push(g);
+            out.push(g);
         }
-        lits
     }
 
     /// Retires every constraint guarded by `guard_var`: the constraints stop
@@ -566,7 +555,8 @@ mod tests {
         assigned.insert(Var::from_dimacs(3), false);
         // x1 ⊕ x2 ⊕ x3 = 0 with x1=1, x3=0 forces x2=1.
         let implied = Var::from_dimacs(2).positive();
-        let reason = engine.reason_lits(xref, implied, value_fn(&assigned));
+        let mut reason = Vec::new();
+        engine.reason_lits(xref, implied, value_fn(&assigned), &mut reason);
         // Reason literals: ¬x1 (false) and x3 (false) — both currently false.
         assert_eq!(reason.len(), 2);
         assert!(reason.contains(&Var::from_dimacs(1).negative()));
@@ -583,7 +573,8 @@ mod tests {
         let mut assigned = HashMap::new();
         assigned.insert(Var::from_dimacs(1), false);
         assigned.insert(Var::from_dimacs(2), false);
-        let lits = engine.conflict_lits(xref, value_fn(&assigned));
+        let mut lits = Vec::new();
+        engine.conflict_lits(xref, value_fn(&assigned), &mut lits);
         assert_eq!(lits.len(), 2);
         // Both variables are false, so the falsified literals are positive.
         assert!(lits.contains(&Var::from_dimacs(1).positive()));
@@ -628,7 +619,9 @@ mod tests {
             }]
         );
         // The reason for the implication includes the guard literal.
-        let reason = engine.reason_lits(xref, Var::from_dimacs(2).negative(), value_fn(&assigned));
+        let mut reason = Vec::new();
+        let implied = Var::from_dimacs(2).negative();
+        engine.reason_lits(xref, implied, value_fn(&assigned), &mut reason);
         assert!(reason.contains(&guard));
     }
 
@@ -650,7 +643,8 @@ mod tests {
         assigned.insert(Var::from_dimacs(2), true);
         engine.on_assign(Var::from_dimacs(2), value_fn(&assigned), &mut results);
         assert_eq!(results, vec![XorPropagation::Implied { lit: guard, xref }]);
-        let reason = engine.reason_lits(xref, guard, value_fn(&assigned));
+        let mut reason = Vec::new();
+        engine.reason_lits(xref, guard, value_fn(&assigned), &mut reason);
         assert_eq!(reason.len(), 2);
     }
 
