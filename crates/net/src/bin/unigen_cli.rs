@@ -6,47 +6,11 @@
 //! unigen_cli batch [OPTIONS] <FILE.cnf>
 //! unigen_cli serve [--listen ADDR] [--unix PATH] [SERVE-OPTIONS] [FILE.cnf ...]
 //! unigen_cli client (--connect ADDR | --unix PATH) [CLIENT-OPTIONS] [FILE.cnf]
-//!
-//! Options:
-//!   --samples N      number of witnesses to generate            [default: 10]
-//!   --epsilon E      tolerance ε (> 1.71)                       [default: 6.0]
-//!   --seed S         random seed                                [default: 1]
-//!   --timeout SECS   per-solver-call budget in seconds          [default: none]
-//!   --jobs N         sample on N worker threads (0 = all cores) [default: serial]
-//!   --certify        verify a DRAT-style proof of every cell online
-//!   --proof-dump F   write the raw proof stream to F (serial only; implies
-//!                    --certify)
-//!   --verbose        print per-sample statistics to stderr
-//!
-//! batch-only options:
-//!   --requests R     split the samples over R service requests  [default: 1]
-//!   --queue N        bounded request-queue capacity             [default: 16]
-//!
-//! serve options (daemon mode; see `unigen_net::server`):
-//!   --listen ADDR    TCP listen address (e.g. 127.0.0.1:4171)
-//!   --unix PATH      unix-domain socket path
-//!   --jobs N         worker threads per prepared service
-//!   --queue N        request-queue capacity per prepared service
-//!   --max-formulas N prepared-formula registry capacity         [default: 64]
-//!   --allow-shutdown honor wire Shutdown frames
-//!   --quiet          suppress serve log lines
-//!   positional FILE.cnf arguments are preloaded into the registry
-//!
-//! client options (talk to a daemon):
-//!   --connect ADDR   TCP address of the daemon
-//!   --unix PATH      unix-domain socket of the daemon
-//!   --samples N      witnesses to request                       [default: 10]
-//!   --seed S         master seed for the batch                  [default: 1]
-//!   --epsilon E      tolerance ε sent in the spec               [default: 6.0]
-//!   --prepare-seed S prepare-phase seed sent in the spec
-//!   --timeout SECS   per-item budget in seconds
-//!   --fingerprint H  request by 16-hex-digit registry fingerprint
-//!   --health         print the daemon's health snapshot
-//!   --selftest       also run the same batch in-process and assert the wire
-//!                    witnesses are bit-identical (needs FILE.cnf)
-//!   --cancel-demo    submit a second larger request and cancel it mid-stream
-//!   --shutdown       ask the daemon to exit (needs --allow-shutdown)
 //! ```
+//!
+//! `unigen_cli [batch|serve|client] --help` lists the options of a mode.
+//! Every option is declared once, in the `FLAGS` table, which drives both
+//! the parser and the help text.
 //!
 //! The `batch` subcommand drives the request/response [`SamplerService`]:
 //! it builds one UniGen sampler through [`SamplerBuilder`], spawns the
@@ -54,13 +18,12 @@
 //! `--requests` typed [`SampleRequest`]s (request `r` uses master seed
 //! `seed + r`), streams each response's witnesses as its index-ordered
 //! prefix completes, and prints the per-request round-trip statistics
-//! (round-trip time, total queue wait, stolen work items, submission
-//! retries, and the robustness counters — interrupted cells, fault-recovery
-//! retries, degradations, injected faults). A `QueueFull` rejection from
-//! the bounded request queue is absorbed by a bounded deterministic
-//! backoff (exponential base plus seeded SplitMix64 jitter) before falling
-//! back to the blocking submit path. The run ends with a
-//! [`unigen::ServiceHealth`] summary.
+//! (round-trip time, total queue wait, stolen work items, and the
+//! robustness counters — interrupted cells, fault-recovery retries,
+//! degradations, injected faults). Requests go through the blocking
+//! [`SamplerService::submit`], so a full request queue delays a submission
+//! rather than failing it. The run ends with a [`unigen::ServiceHealth`]
+//! summary.
 //!
 //! Without `batch`, `--jobs N` is the `batch` path with one request: sample
 //! `i` draws its randomness from the dedicated stream derived from
@@ -83,6 +46,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -90,12 +54,12 @@ use rand::SeedableRng;
 
 use unigen::{
     OutcomeKind, PreparedMode, SampleOutcome, SampleRequest, SamplerBuilder, SamplerService,
-    ServiceConfig, TrySubmitError, UniGen, WitnessSampler,
+    ServiceConfig, UniGen, WitnessSampler,
 };
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
 use unigen_net::server::{default_spec, ServeConfig};
-use unigen_net::wire::{ErrorCode, WireOutcomeKind};
+use unigen_net::wire::ErrorCode;
 use unigen_satsolver::Budget;
 
 #[derive(Debug, Clone)]
@@ -124,130 +88,429 @@ struct CliOptions {
     queue: usize,
 }
 
-fn usage() -> &'static str {
-    "usage: unigen_cli [batch] [--samples N] [--epsilon E] [--seed S] [--timeout SECS] \
-     [--jobs N] [--requests R] [--queue N] [--certify] [--proof-dump FILE] [--verbose] <FILE.cnf>\n\
-     (daemon mode: `unigen_cli serve --help`; remote sampling: `unigen_cli client --help`)"
+#[derive(Debug, Clone, Default)]
+struct ClientOptions {
+    /// TCP address of the daemon (mutually exclusive with `unix`).
+    connect: Option<String>,
+    /// Unix-domain socket path of the daemon.
+    unix: Option<PathBuf>,
+    /// DIMACS file to send inline (omit when using `fingerprint`).
+    file: Option<String>,
+    /// Request a formula already prepared in the server's registry.
+    fingerprint: Option<u64>,
+    samples: u64,
+    /// Master seed of the requested batch.
+    seed: u64,
+    epsilon: f64,
+    /// Prepare-phase seed sent in the spec (`None` = server default).
+    prepare_seed: Option<u64>,
+    /// Per-item budget in seconds (0 on the wire = unbounded).
+    timeout: Option<u64>,
+    health: bool,
+    /// Re-run the batch in-process and assert wire bit-identity.
+    selftest: bool,
+    /// Submit and cancel a second, larger request mid-stream.
+    cancel_demo: bool,
+    /// Send a `Shutdown` frame after everything else.
+    shutdown: bool,
 }
 
-fn serve_usage() -> &'static str {
-    "usage: unigen_cli serve [--listen ADDR] [--unix PATH] [--jobs N] [--queue N] \
-     [--max-formulas N] [--allow-shutdown] [--quiet] [FILE.cnf ...]\n\
-     at least one of --listen / --unix is required; positional files are preloaded"
+// ---------------------------------------------------------------------------
+// Argument parsing: one flag table for every mode
+// ---------------------------------------------------------------------------
+
+/// How the binary runs: the first argument `batch`, `serve` or `client`
+/// selects that mode; anything else samples (`sample`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Sample,
+    Batch,
+    Serve,
+    Client,
 }
 
-fn client_usage() -> &'static str {
-    "usage: unigen_cli client (--connect ADDR | --unix PATH) [--samples N] [--seed S] \
-     [--epsilon E] [--prepare-seed S] [--timeout SECS] [--fingerprint HEX] [--health] \
-     [--selftest] [--cancel-demo] [--shutdown] [FILE.cnf]"
-}
-
-fn parse_args(args: &[String]) -> Result<CliOptions, String> {
-    let mut options = CliOptions {
-        file: String::new(),
-        samples: 10,
-        epsilon: 6.0,
-        seed: 1,
-        timeout: None,
-        jobs: None,
-        certify: false,
-        proof_dump: None,
-        verbose: false,
-        batch: false,
-        requests: 1,
-        queue: 16,
-    };
-    let mut args = args;
-    if args.first().map(String::as_str) == Some("batch") {
-        options.batch = true;
-        args = &args[1..];
+impl Mode {
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Sample => "sample",
+            Mode::Batch => "batch",
+            Mode::Serve => "serve",
+            Mode::Client => "client",
+        }
     }
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--samples" => {
-                options.samples = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--samples needs a positive integer")?;
+
+    fn synopsis(self) -> &'static str {
+        match self {
+            Mode::Sample => {
+                "unigen_cli [OPTIONS] <FILE.cnf>\n\
+                 other modes: `unigen_cli batch|serve|client --help`"
             }
-            "--epsilon" => {
-                options.epsilon = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--epsilon needs a number > 1.71")?;
+            Mode::Batch => "unigen_cli batch [OPTIONS] <FILE.cnf>",
+            Mode::Serve => {
+                "unigen_cli serve [--listen ADDR] [--unix PATH] [SERVE-OPTIONS] [FILE.cnf ...]\n\
+                 at least one of --listen / --unix is required; FILE.cnf arguments are \
+                 preloaded into the registry"
             }
-            "--seed" => {
-                options.seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an unsigned integer")?;
-            }
-            "--timeout" => {
-                let secs: u64 = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--timeout needs a number of seconds")?;
-                options.timeout = Some(Duration::from_secs(secs));
-            }
-            "--jobs" => {
-                options.jobs = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--jobs needs an unsigned integer (0 = all cores)")?,
-                );
-            }
-            "--requests" => {
-                options.requests = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&r: &usize| r > 0)
-                    .ok_or("--requests needs a positive integer")?;
-                if !options.batch {
-                    return Err(format!("--requests is a `batch` option\n{}", usage()));
-                }
-            }
-            "--queue" => {
-                options.queue = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&q: &usize| q > 0)
-                    .ok_or("--queue needs a positive integer")?;
-                if !options.batch {
-                    return Err(format!("--queue is a `batch` option\n{}", usage()));
-                }
-            }
-            "--certify" => options.certify = true,
-            "--proof-dump" => {
-                let path = iter.next().ok_or("--proof-dump needs a file path")?;
-                options.proof_dump = Some(path.clone());
-                options.certify = true;
-            }
-            "--verbose" => options.verbose = true,
-            "--help" | "-h" => return Err(usage().to_string()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown option `{other}`\n{}", usage()));
-            }
-            file => {
-                if !options.file.is_empty() {
-                    return Err(format!("unexpected extra argument `{file}`\n{}", usage()));
-                }
-                options.file = file.to_string();
+            Mode::Client => {
+                "unigen_cli client (--connect ADDR | --unix PATH) [CLIENT-OPTIONS] [FILE.cnf]"
             }
         }
     }
-    if options.file.is_empty() {
-        return Err(usage().to_string());
-    }
-    if options.proof_dump.is_some() && (options.batch || options.jobs.is_some()) {
-        return Err(
-            "--proof-dump needs the serial path (no `batch`, no --jobs): worker solver \
-             clones fork the proof stream, so only the serial sampler's stream is complete"
-                .to_string(),
-        );
-    }
-    Ok(options)
 }
+
+/// What a flag takes.
+enum Arg {
+    /// Nothing: a switch.
+    Switch(fn(&mut Parsed)),
+    /// One value, shown as the placeholder in `--help`; the setter returns
+    /// `None` for an invalid value.
+    Value(&'static str, fn(&mut Parsed, &str) -> Option<()>),
+}
+
+/// One row of the flag table: one meaning of one flag.
+struct Flag {
+    name: &'static str,
+    /// The modes that accept the flag with this meaning.
+    modes: &'static [Mode],
+    help: &'static str,
+    arg: Arg,
+}
+
+/// Parses `value` into `slot`.
+fn set<T: FromStr>(slot: &mut T, value: &str) -> Option<()> {
+    *slot = value.parse().ok()?;
+    Some(())
+}
+
+fn set_some<T: FromStr>(slot: &mut Option<T>, value: &str) -> Option<()> {
+    *slot = Some(value.parse().ok()?);
+    Some(())
+}
+
+fn set_positive(slot: &mut usize, value: &str) -> Option<()> {
+    *slot = value.parse().ok().filter(|&n| n > 0)?;
+    Some(())
+}
+
+/// Every option of every mode, in `--help` order. A flag that means
+/// something else in another mode (`--jobs`, `--queue`, `--timeout`,
+/// `--unix`) has one row per meaning.
+#[rustfmt::skip]
+static FLAGS: &[Flag] = {
+    use Arg::{Switch, Value};
+    use Mode::{Batch, Client, Sample, Serve};
+    &[
+        Flag { name: "--samples", modes: &[Sample, Batch, Client],
+            help: "number of witnesses to generate [default: 10]",
+            arg: Value("N", |p, v| set(&mut p.cli.samples, v)) },
+        Flag { name: "--epsilon", modes: &[Sample, Batch, Client],
+            help: "tolerance ε, > 1.71 [default: 6.0]",
+            arg: Value("E", |p, v| set(&mut p.cli.epsilon, v)) },
+        Flag { name: "--seed", modes: &[Sample, Batch, Client],
+            help: "random seed [default: 1]",
+            arg: Value("S", |p, v| set(&mut p.cli.seed, v)) },
+        Flag { name: "--timeout", modes: &[Sample, Batch],
+            help: "per-solver-call budget in seconds [default: none]",
+            arg: Value("SECS", |p, v| {
+                p.cli.timeout = Some(Duration::from_secs(v.parse().ok()?));
+                Some(())
+            }) },
+        Flag { name: "--jobs", modes: &[Sample, Batch],
+            help: "sample on N worker threads, 0 = all cores [default: serial]",
+            arg: Value("N", |p, v| set_some(&mut p.cli.jobs, v)) },
+        Flag { name: "--requests", modes: &[Batch],
+            help: "split the samples over R > 0 service requests [default: 1]",
+            arg: Value("R", |p, v| set_positive(&mut p.cli.requests, v)) },
+        Flag { name: "--queue", modes: &[Batch],
+            help: "bounded request-queue capacity, > 0 [default: 16]",
+            arg: Value("N", |p, v| set_positive(&mut p.cli.queue, v)) },
+        Flag { name: "--certify", modes: &[Sample, Batch],
+            help: "verify a DRAT-style proof of every cell online",
+            arg: Switch(|p| p.cli.certify = true) },
+        Flag { name: "--proof-dump", modes: &[Sample, Batch],
+            help: "write the raw proof stream to FILE (serial only; implies --certify)",
+            arg: Value("FILE", |p, v| {
+                p.cli.certify = true;
+                set_some(&mut p.cli.proof_dump, v)
+            }) },
+        Flag { name: "--verbose", modes: &[Sample, Batch],
+            help: "print per-sample statistics to stderr",
+            arg: Switch(|p| p.cli.verbose = true) },
+        Flag { name: "--listen", modes: &[Serve],
+            help: "TCP listen address (e.g. 127.0.0.1:4171)",
+            arg: Value("ADDR", |p, v| set_some(&mut p.serve.tcp, v)) },
+        Flag { name: "--unix", modes: &[Serve],
+            help: "unix-domain socket path to listen on",
+            arg: Value("PATH", |p, v| set_some(&mut p.serve.unix, v)) },
+        Flag { name: "--jobs", modes: &[Serve],
+            help: "worker threads per prepared service [default: 0 = service default]",
+            arg: Value("N", |p, v| set(&mut p.serve.workers, v)) },
+        Flag { name: "--queue", modes: &[Serve],
+            help: "request-queue capacity per prepared service [default: 0 = service default]",
+            arg: Value("N", |p, v| set(&mut p.serve.queue_capacity, v)) },
+        Flag { name: "--max-formulas", modes: &[Serve],
+            help: "prepared-formula registry capacity, > 0 [default: 64]",
+            arg: Value("N", |p, v| set_positive(&mut p.serve.max_formulas, v)) },
+        Flag { name: "--allow-shutdown", modes: &[Serve],
+            help: "honor wire Shutdown frames",
+            arg: Switch(|p| p.serve.allow_shutdown = true) },
+        Flag { name: "--quiet", modes: &[Serve],
+            help: "suppress serve log lines",
+            arg: Switch(|p| p.serve.quiet = true) },
+        Flag { name: "--connect", modes: &[Client],
+            help: "TCP address of the daemon",
+            arg: Value("ADDR", |p, v| set_some(&mut p.client.connect, v)) },
+        Flag { name: "--unix", modes: &[Client],
+            help: "unix-domain socket of the daemon",
+            arg: Value("PATH", |p, v| set_some(&mut p.client.unix, v)) },
+        Flag { name: "--prepare-seed", modes: &[Client],
+            help: "prepare-phase seed sent in the spec [default: the server's]",
+            arg: Value("S", |p, v| set_some(&mut p.client.prepare_seed, v)) },
+        Flag { name: "--timeout", modes: &[Client],
+            help: "per-item budget in seconds [default: none]",
+            arg: Value("SECS", |p, v| set_some(&mut p.client.timeout, v)) },
+        Flag { name: "--fingerprint", modes: &[Client],
+            help: "request by 16-hex-digit registry fingerprint instead of FILE.cnf",
+            arg: Value("HEX", |p, v| {
+                p.client.fingerprint = Some(u64::from_str_radix(v.trim_start_matches("0x"), 16).ok()?);
+                Some(())
+            }) },
+        Flag { name: "--health", modes: &[Client],
+            help: "print the daemon's health snapshot",
+            arg: Switch(|p| p.client.health = true) },
+        Flag { name: "--selftest", modes: &[Client],
+            help: "also run the batch in-process and assert bit-identity (needs FILE.cnf)",
+            arg: Switch(|p| p.client.selftest = true) },
+        Flag { name: "--cancel-demo", modes: &[Client],
+            help: "submit a second, larger request and cancel it mid-stream",
+            arg: Switch(|p| p.client.cancel_demo = true) },
+        Flag { name: "--shutdown", modes: &[Client],
+            help: "ask the daemon to exit (needs serve --allow-shutdown)",
+            arg: Switch(|p| p.client.shutdown = true) },
+    ]
+};
+
+/// A parsed command line.
+enum Command {
+    /// `--help` or `-h`: print the mode's help on stdout.
+    Help(Mode),
+    /// `sample` or `batch`.
+    Sample(CliOptions),
+    Serve(ServeConfig),
+    Client(ClientOptions),
+}
+
+/// Parser state: every mode's options at their defaults, updated by the
+/// flags; [`Parsed::finish`] keeps the selected mode's.
+struct Parsed {
+    mode: Mode,
+    cli: CliOptions,
+    serve: ServeConfig,
+    client: ClientOptions,
+    positional: Vec<String>,
+    help: bool,
+}
+
+impl Parsed {
+    fn new(mode: Mode) -> Parsed {
+        Parsed {
+            mode,
+            cli: CliOptions {
+                file: String::new(),
+                samples: 10,
+                epsilon: 6.0,
+                seed: 1,
+                timeout: None,
+                jobs: None,
+                certify: false,
+                proof_dump: None,
+                verbose: false,
+                batch: mode == Mode::Batch,
+                requests: 1,
+                queue: 16,
+            },
+            serve: ServeConfig::default(),
+            client: ClientOptions::default(),
+            positional: Vec::new(),
+            help: false,
+        }
+    }
+
+    /// Applies the flags in `args` and collects the positional arguments;
+    /// stops at `--help`.
+    fn read(&mut self, args: &[String]) -> Result<(), String> {
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--help" | "-h" => {
+                    self.help = true;
+                    return Ok(());
+                }
+                name if name.starts_with("--") => {
+                    let flag = find_flag(name, self.mode)?;
+                    match flag.arg {
+                        Arg::Switch(set) => set(self),
+                        Arg::Value(placeholder, set) => {
+                            let spec = format!("`{name} {placeholder}` ({})", flag.help);
+                            let value = args
+                                .next()
+                                .ok_or_else(|| format!("missing value for {spec}"))?;
+                            set(self, value)
+                                .ok_or_else(|| format!("invalid value `{value}` for {spec}"))?;
+                        }
+                    }
+                }
+                positional => self.positional.push(positional.to_string()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies the positional arguments and the mode's cross-flag rules.
+    fn finish(self) -> Result<Command, String> {
+        let Parsed {
+            mode,
+            mut cli,
+            mut serve,
+            mut client,
+            positional,
+            help,
+        } = self;
+        if help {
+            return Ok(Command::Help(mode));
+        }
+        match mode {
+            Mode::Sample | Mode::Batch => {
+                let Some(file) = positional.first() else {
+                    return Err(help_text(mode));
+                };
+                cli.file = file.clone();
+                check(
+                    mode,
+                    &[
+                        (positional.len() > 1, "pass exactly one FILE.cnf"),
+                        (
+                            cli.proof_dump.is_some() && (cli.batch || cli.jobs.is_some()),
+                            "--proof-dump needs the serial path (no `batch`, no --jobs): worker \
+                             solver clones fork the proof stream, so only the serial sampler's \
+                             stream is complete",
+                        ),
+                    ],
+                )?;
+                Ok(Command::Sample(cli))
+            }
+            Mode::Serve => {
+                for file in &positional {
+                    let text = std::fs::read_to_string(file)
+                        .map_err(|e| format!("cannot read preload file `{file}`: {e}"))?;
+                    serve.preload.push(text);
+                }
+                let listener = serve.tcp.is_some() || serve.unix.is_some();
+                check(mode, &[(!listener, "serve needs at least one listener")])?;
+                Ok(Command::Serve(serve))
+            }
+            Mode::Client => {
+                // `--samples`, `--seed` and `--epsilon` share their rows
+                // and defaults with the sampling modes.
+                client.samples = cli.samples as u64;
+                client.seed = cli.seed;
+                client.epsilon = cli.epsilon;
+                client.file = positional.first().cloned();
+                let (file, fingerprint) = (client.file.is_some(), client.fingerprint.is_some());
+                check(
+                    mode,
+                    &[
+                        (positional.len() > 1, "pass at most one FILE.cnf"),
+                        (
+                            client.connect.is_some() == client.unix.is_some(),
+                            "client needs exactly one of --connect ADDR and --unix PATH",
+                        ),
+                        (
+                            file && fingerprint,
+                            "pass either FILE.cnf or --fingerprint, not both",
+                        ),
+                        (
+                            !file && !fingerprint && !client.health && !client.shutdown,
+                            "nothing to do: pass FILE.cnf, --fingerprint, --health, or --shutdown",
+                        ),
+                        (
+                            client.selftest && !file,
+                            "--selftest needs the FILE.cnf positional argument",
+                        ),
+                        (
+                            client.cancel_demo && !file && !fingerprint,
+                            "--cancel-demo needs FILE.cnf or --fingerprint",
+                        ),
+                    ],
+                )?;
+                Ok(Command::Client(client))
+            }
+        }
+    }
+}
+
+/// Fails with the message of the first broken rule.
+fn check(mode: Mode, rules: &[(bool, &str)]) -> Result<(), String> {
+    match rules.iter().find(|(broken, _)| *broken) {
+        Some((_, message)) => Err(usage_error(mode, message)),
+        None => Ok(()),
+    }
+}
+
+/// The row of `name` for `mode`, or an error naming the modes that take
+/// the flag.
+fn find_flag(name: &str, mode: Mode) -> Result<&'static Flag, String> {
+    let rows = || FLAGS.iter().filter(move |flag| flag.name == name);
+    if let Some(flag) = rows().find(|flag| flag.modes.contains(&mode)) {
+        return Ok(flag);
+    }
+    let owners: Vec<&str> = rows()
+        .flat_map(|flag| flag.modes)
+        .map(|m| m.name())
+        .collect();
+    let message = if owners.is_empty() {
+        format!("unknown option `{name}`")
+    } else {
+        format!("{name} is a `{}` option", owners.join("`/`"))
+    };
+    Err(usage_error(mode, message))
+}
+
+fn usage_error(mode: Mode, message: impl std::fmt::Display) -> String {
+    format!(
+        "{message}\nusage: {}\n(`--help` lists the options)",
+        mode.synopsis()
+    )
+}
+
+/// The `--help` text of `mode`, generated from [`FLAGS`].
+fn help_text(mode: Mode) -> String {
+    let mut text = format!("usage: {}\n\noptions:\n", mode.synopsis());
+    for flag in FLAGS.iter().filter(|flag| flag.modes.contains(&mode)) {
+        let spec = match flag.arg {
+            Arg::Switch(_) => flag.name.to_string(),
+            Arg::Value(placeholder, _) => format!("{} {placeholder}", flag.name),
+        };
+        text.push_str(&format!("  {spec:<18} {}\n", flag.help));
+    }
+    text + "  -h, --help         print this help\n"
+}
+
+fn parse(args: &[String]) -> Result<Command, String> {
+    let (mode, args) = match args.first().map(String::as_str) {
+        Some("batch") => (Mode::Batch, &args[1..]),
+        Some("serve") => (Mode::Serve, &args[1..]),
+        Some("client") => (Mode::Client, &args[1..]),
+        _ => (Mode::Sample, args),
+    };
+    let mut parsed = Parsed::new(mode);
+    parsed.read(args)?;
+    parsed.finish()
+}
+
+// ---------------------------------------------------------------------------
+// Sampling: `sample` and `batch`
+// ---------------------------------------------------------------------------
 
 fn run(options: &CliOptions) -> Result<(), String> {
     let formula = dimacs::parse_file(&options.file)
@@ -316,7 +579,7 @@ fn run(options: &CliOptions) -> Result<(), String> {
                 // The typed failure taxonomy: a genuine ⊥ (the algorithm's
                 // own reject), a budget interruption (retryable), or an
                 // injected/unrecovered fault.
-                println!("c sample {i} failed ({})", kind_name(outcome.kind));
+                println!("c sample {i} failed ({})", outcome.kind);
                 false
             }
         };
@@ -324,7 +587,7 @@ fn run(options: &CliOptions) -> Result<(), String> {
             eprintln!(
                 "c sample {i}: kind={} bsat_calls={} avg_xor_len={:.1} time={:?} steals={} \
                  queue_wait={:?} interrupted_cells={} retries={} degradations={} faults={}",
-                kind_name(outcome.kind),
+                outcome.kind,
                 outcome.stats.bsat_calls,
                 outcome.stats.average_xor_length(),
                 outcome.stats.wall_time,
@@ -408,16 +671,6 @@ fn run(options: &CliOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// Stable lowercase label for an [`OutcomeKind`] in CLI output.
-fn kind_name(kind: OutcomeKind) -> &'static str {
-    match kind {
-        OutcomeKind::Witness => "witness",
-        OutcomeKind::Bottom => "bottom",
-        OutcomeKind::Interrupted => "interrupted",
-        OutcomeKind::Faulted => "faulted",
-    }
-}
-
 /// The `--certify` verdict of a service run. The workers sample (and
 /// certify) their own clones of the prepared sampler, so the verdict comes
 /// from the outcomes: the total number of proof checks, or an error when any
@@ -435,16 +688,6 @@ fn certify_verdict(outcomes: &[SampleOutcome]) -> Result<usize, String> {
         ));
     }
     Ok(outcomes.iter().map(|o| o.stats.cert_checks).sum())
-}
-
-/// Bounded deterministic backoff for a `QueueFull` rejection: exponential
-/// base doubling from 250µs (capped at attempt 6) plus a seeded SplitMix64
-/// jitter of up to 1ms, so concurrent submitters with different seeds
-/// desynchronise instead of retrying in lockstep.
-fn backoff_delay(seed: u64, request_index: usize, attempt: usize) -> Duration {
-    let base = 250u64 << attempt.min(6) as u32;
-    let jitter = unigen::splitmix64(seed ^ ((request_index as u64) << 32) ^ attempt as u64) % 1000;
-    Duration::from_micros(base + jitter)
 }
 
 /// The service path (`batch`, or `--jobs` without it): drive the persistent
@@ -476,47 +719,25 @@ fn run_batch(
 
     // Split the samples over the requests (first `remainder` requests get
     // one extra); request r draws from master seed `seed + r`, so distinct
-    // requests use provably disjoint RNG stream sets.
+    // requests use provably disjoint RNG stream sets. Everything is
+    // submitted up front: a full request queue blocks the submission until
+    // a worker takes a request.
     let base = options.samples / options.requests;
     let remainder = options.samples % options.requests;
-    let requests: Vec<SampleRequest> = (0..options.requests)
+    let handles: Vec<_> = (0..options.requests)
         .map(|r| {
             let count = base + usize::from(r < remainder);
             SampleRequest::new(count, options.seed.wrapping_add(r as u64))
         })
         .filter(|request| request.count > 0)
+        .map(|request| service.submit(request))
         .collect();
-
-    // Submit everything up front, absorbing `QueueFull` rejections with a
-    // bounded deterministic backoff (seeded jitter, exponential base): the
-    // determinism contract makes the retry idempotent, and after the retry
-    // budget is spent the submission falls back to the blocking path, so no
-    // request is ever dropped.
-    const SUBMIT_RETRY_BUDGET: usize = 10;
-    let mut handles = Vec::with_capacity(requests.len());
-    for (r, &request) in requests.iter().enumerate() {
-        let mut submit_retries = 0usize;
-        let handle = loop {
-            match service.try_submit(request) {
-                Ok(handle) => break handle,
-                Err(TrySubmitError::QueueFull { request })
-                    if submit_retries < SUBMIT_RETRY_BUDGET =>
-                {
-                    std::thread::sleep(backoff_delay(options.seed, r, submit_retries));
-                    submit_retries += 1;
-                    debug_assert_eq!(request.count, base + usize::from(r < remainder));
-                }
-                Err(_) => break service.submit(request),
-            }
-        };
-        handles.push((handle, submit_retries));
-    }
 
     let mut produced = 0usize;
     let mut emitted = 0usize;
     let mut totals = unigen::SampleStats::default();
     let mut cert_checks = 0usize;
-    for (r, (mut handle, submit_retries)) in handles.into_iter().enumerate() {
+    for (r, mut handle) in handles.into_iter().enumerate() {
         let request = handle.request();
         for outcome in handle.by_ref() {
             produced += usize::from(emit(emitted, &outcome));
@@ -526,8 +747,7 @@ fn run_batch(
         totals.accumulate(&response.aggregate_stats);
         eprintln!(
             "c request {r}: seed={} witnesses={}/{} round_trip={:?} queue_wait_total={:?} \
-             steals={} submit_retries={submit_retries} interrupted_cells={} retries={} \
-             degradations={} faults={}",
+             steals={} interrupted_cells={} retries={} degradations={} faults={}",
             request.master_seed,
             response.successes(),
             request.count,
@@ -577,64 +797,6 @@ fn run_batch(
 // `serve` subcommand: run the network daemon (crates/net)
 // ---------------------------------------------------------------------------
 
-fn parse_serve_args(args: &[String]) -> Result<ServeConfig, String> {
-    let mut config = ServeConfig::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--listen" => {
-                config.tcp = Some(
-                    iter.next()
-                        .ok_or("--listen needs an address (e.g. 127.0.0.1:4171)")?
-                        .clone(),
-                );
-            }
-            "--unix" => {
-                config.unix = Some(PathBuf::from(
-                    iter.next().ok_or("--unix needs a socket path")?,
-                ));
-            }
-            "--jobs" => {
-                config.workers = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--jobs needs an unsigned integer (0 = service default)")?;
-            }
-            "--queue" => {
-                config.queue_capacity = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--queue needs an unsigned integer (0 = service default)")?;
-            }
-            "--max-formulas" => {
-                config.max_formulas = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--max-formulas needs a positive integer")?;
-            }
-            "--allow-shutdown" => config.allow_shutdown = true,
-            "--quiet" => config.quiet = true,
-            "--help" | "-h" => return Err(serve_usage().to_string()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown serve option `{other}`\n{}", serve_usage()));
-            }
-            file => {
-                let text = std::fs::read_to_string(file)
-                    .map_err(|e| format!("cannot read preload file `{file}`: {e}"))?;
-                config.preload.push(text);
-            }
-        }
-    }
-    if config.tcp.is_none() && config.unix.is_none() {
-        return Err(format!(
-            "serve needs at least one listener\n{}",
-            serve_usage()
-        ));
-    }
-    Ok(config)
-}
-
 fn run_serve(config: ServeConfig) -> Result<(), String> {
     let handle = unigen_net::serve(config).map_err(|e| e.to_string())?;
     // Block until a wire `Shutdown` frame stops the loop (requires
@@ -646,158 +808,6 @@ fn run_serve(config: ServeConfig) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 // `client` subcommand: talk to a daemon over TCP or a unix socket
 // ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct ClientOptions {
-    /// TCP address of the daemon (mutually exclusive with `unix`).
-    connect: Option<String>,
-    /// Unix-domain socket path of the daemon.
-    unix: Option<PathBuf>,
-    /// DIMACS file to send inline (omit when using `fingerprint`).
-    file: Option<String>,
-    /// Request a formula already prepared in the server's registry.
-    fingerprint: Option<u64>,
-    samples: u64,
-    /// Master seed of the requested batch.
-    seed: u64,
-    epsilon: f64,
-    /// Prepare-phase seed sent in the spec (`None` = server default).
-    prepare_seed: Option<u64>,
-    /// Per-item budget in seconds (0 on the wire = unbounded).
-    timeout: Option<u64>,
-    health: bool,
-    /// Re-run the batch in-process and assert wire bit-identity.
-    selftest: bool,
-    /// Submit and cancel a second, larger request mid-stream.
-    cancel_demo: bool,
-    /// Send a `Shutdown` frame after everything else.
-    shutdown: bool,
-}
-
-fn parse_client_args(args: &[String]) -> Result<ClientOptions, String> {
-    let mut options = ClientOptions {
-        connect: None,
-        unix: None,
-        file: None,
-        fingerprint: None,
-        samples: 10,
-        seed: 1,
-        epsilon: 6.0,
-        prepare_seed: None,
-        timeout: None,
-        health: false,
-        selftest: false,
-        cancel_demo: false,
-        shutdown: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--connect" => {
-                options.connect = Some(iter.next().ok_or("--connect needs an address")?.clone());
-            }
-            "--unix" => {
-                options.unix = Some(PathBuf::from(
-                    iter.next().ok_or("--unix needs a socket path")?,
-                ));
-            }
-            "--samples" => {
-                options.samples = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--samples needs an unsigned integer")?;
-            }
-            "--seed" => {
-                options.seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an unsigned integer")?;
-            }
-            "--epsilon" => {
-                options.epsilon = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--epsilon needs a number > 1.71")?;
-            }
-            "--prepare-seed" => {
-                options.prepare_seed = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--prepare-seed needs an unsigned integer")?,
-                );
-            }
-            "--timeout" => {
-                options.timeout = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--timeout needs a number of seconds")?,
-                );
-            }
-            "--fingerprint" => {
-                let hex = iter.next().ok_or("--fingerprint needs 16 hex digits")?;
-                options.fingerprint = Some(
-                    u64::from_str_radix(hex.trim_start_matches("0x"), 16)
-                        .map_err(|_| "--fingerprint needs 16 hex digits".to_string())?,
-                );
-            }
-            "--health" => options.health = true,
-            "--selftest" => options.selftest = true,
-            "--cancel-demo" => options.cancel_demo = true,
-            "--shutdown" => options.shutdown = true,
-            "--help" | "-h" => return Err(client_usage().to_string()),
-            other if other.starts_with("--") => {
-                return Err(format!(
-                    "unknown client option `{other}`\n{}",
-                    client_usage()
-                ));
-            }
-            file => {
-                if options.file.is_some() {
-                    return Err(format!(
-                        "unexpected extra argument `{file}`\n{}",
-                        client_usage()
-                    ));
-                }
-                options.file = Some(file.to_string());
-            }
-        }
-    }
-    match (&options.connect, &options.unix) {
-        (Some(_), Some(_)) => {
-            return Err(format!(
-                "--connect and --unix are mutually exclusive\n{}",
-                client_usage()
-            ))
-        }
-        (None, None) => {
-            return Err(format!(
-                "client needs --connect ADDR or --unix PATH\n{}",
-                client_usage()
-            ))
-        }
-        _ => {}
-    }
-    if options.file.is_some() && options.fingerprint.is_some() {
-        return Err("pass either FILE.cnf or --fingerprint, not both".to_string());
-    }
-    if options.file.is_none()
-        && options.fingerprint.is_none()
-        && !options.health
-        && !options.shutdown
-    {
-        return Err(format!(
-            "nothing to do: pass FILE.cnf, --fingerprint, --health, or --shutdown\n{}",
-            client_usage()
-        ));
-    }
-    if options.selftest && options.file.is_none() {
-        return Err("--selftest needs the FILE.cnf positional argument".to_string());
-    }
-    if options.cancel_demo && options.file.is_none() && options.fingerprint.is_none() {
-        return Err("--cancel-demo needs FILE.cnf or --fingerprint".to_string());
-    }
-    Ok(options)
-}
 
 /// Print a wire witness as a DIMACS `v` line (projection on the
 /// sampling set, matching the in-process front end's output).
@@ -811,15 +821,6 @@ fn print_wire_witness(sampling_set: &[u32], bits: &[bool]) {
         })
         .collect();
     println!("v {} 0", lits.join(" "));
-}
-
-fn wire_kind_name(kind: WireOutcomeKind) -> &'static str {
-    match kind {
-        WireOutcomeKind::Witness => "witness",
-        WireOutcomeKind::Bottom => "bottom",
-        WireOutcomeKind::Interrupted => "interrupted",
-        WireOutcomeKind::Faulted => "faulted",
-    }
 }
 
 /// Re-run the batch in-process with the same spec and assert the wire
@@ -860,17 +861,10 @@ fn run_selftest(
         ));
     }
     for (i, (wire, local)) in batch.outcomes.iter().zip(&reference).enumerate() {
-        let local_kind = match local.kind {
-            OutcomeKind::Witness => WireOutcomeKind::Witness,
-            OutcomeKind::Bottom => WireOutcomeKind::Bottom,
-            OutcomeKind::Interrupted => WireOutcomeKind::Interrupted,
-            OutcomeKind::Faulted => WireOutcomeKind::Faulted,
-        };
-        if wire.kind != local_kind {
+        if wire.kind != local.kind {
             return Err(format!(
                 "selftest: outcome {i} kind mismatch: wire {} vs in-process {}",
-                wire_kind_name(wire.kind),
-                kind_name(local.kind)
+                wire.kind, local.kind
             ));
         }
         let local_bits: Option<Vec<bool>> = local
@@ -892,7 +886,7 @@ fn run_client(options: &ClientOptions) -> Result<(), String> {
     let mut client = match (&options.connect, &options.unix) {
         (Some(addr), None) => Client::connect_tcp(addr),
         (None, Some(path)) => Client::connect_unix(path),
-        _ => unreachable!("parse_client_args enforces exactly one endpoint"),
+        _ => unreachable!("the parser enforces exactly one endpoint"),
     }
     .map_err(|e| e.to_string())?;
 
@@ -908,7 +902,7 @@ fn run_client(options: &ClientOptions) -> Result<(), String> {
             options.seed,
         )),
         (None, None) => None,
-        (Some(_), Some(_)) => unreachable!("parse_client_args rejects both"),
+        (Some(_), Some(_)) => unreachable!("the parser rejects both"),
     };
 
     if let Some(request) = request {
@@ -945,11 +939,7 @@ fn run_client(options: &ClientOptions) -> Result<(), String> {
         for outcome in &batch.outcomes {
             match &outcome.witness {
                 Some(bits) => print_wire_witness(&batch.sampling_set, bits),
-                None => println!(
-                    "c sample {} failed ({})",
-                    outcome.index,
-                    wire_kind_name(outcome.kind)
-                ),
+                None => println!("c sample {} failed ({})", outcome.index, outcome.kind),
             }
         }
         eprintln!(
@@ -1021,28 +1011,18 @@ fn run_client(options: &ClientOptions) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let run_result = match args.first().map(String::as_str) {
-        Some("serve") => match parse_serve_args(&args[1..]) {
-            Ok(config) => run_serve(config),
-            Err(message) => {
-                eprintln!("{message}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Some("client") => match parse_client_args(&args[1..]) {
-            Ok(options) => run_client(&options),
-            Err(message) => {
-                eprintln!("{message}");
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => match parse_args(&args) {
-            Ok(options) => run(&options),
-            Err(message) => {
-                eprintln!("{message}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let run_result = match parse(&args) {
+        Ok(Command::Help(mode)) => {
+            print!("{}", help_text(mode));
+            return ExitCode::SUCCESS;
+        }
+        Ok(Command::Sample(options)) => run(&options),
+        Ok(Command::Serve(config)) => run_serve(config),
+        Ok(Command::Client(options)) => run_client(&options),
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
     };
     match run_result {
         Ok(()) => ExitCode::SUCCESS,
@@ -1061,9 +1041,17 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Parses a `sample`/`batch` command line into its options.
+    fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
+        match parse(args)? {
+            Command::Sample(options) => Ok(options),
+            _ => Err("not a sampling command".to_string()),
+        }
+    }
+
     #[test]
     fn parses_defaults_and_file() {
-        let options = parse_args(&args(&["input.cnf"])).unwrap();
+        let options = parse_cli(&args(&["input.cnf"])).unwrap();
         assert_eq!(options.file, "input.cnf");
         assert_eq!(options.samples, 10);
         assert_eq!(options.epsilon, 6.0);
@@ -1072,7 +1060,7 @@ mod tests {
 
     #[test]
     fn parses_all_options() {
-        let options = parse_args(&args(&[
+        let options = parse_cli(&args(&[
             "--samples",
             "25",
             "--epsilon",
@@ -1098,18 +1086,18 @@ mod tests {
 
     #[test]
     fn jobs_defaults_to_serial_and_rejects_garbage() {
-        assert_eq!(parse_args(&args(&["a.cnf"])).unwrap().jobs, None);
+        assert_eq!(parse_cli(&args(&["a.cnf"])).unwrap().jobs, None);
         assert_eq!(
-            parse_args(&args(&["--jobs", "0", "a.cnf"])).unwrap().jobs,
+            parse_cli(&args(&["--jobs", "0", "a.cnf"])).unwrap().jobs,
             Some(0)
         );
-        assert!(parse_args(&args(&["--jobs", "many", "a.cnf"])).is_err());
-        assert!(parse_args(&args(&["--jobs"])).is_err());
+        assert!(parse_cli(&args(&["--jobs", "many", "a.cnf"])).is_err());
+        assert!(parse_cli(&args(&["--jobs"])).is_err());
     }
 
     #[test]
     fn batch_subcommand_parses_its_options() {
-        let options = parse_args(&args(&[
+        let options = parse_cli(&args(&[
             "batch",
             "--samples",
             "40",
@@ -1129,37 +1117,139 @@ mod tests {
         assert_eq!(options.jobs, Some(3));
         // Batch-only options are rejected without `batch`, and zero
         // requests/queue are rejected outright.
-        assert!(!parse_args(&args(&["a.cnf"])).unwrap().batch);
-        assert!(parse_args(&args(&["--requests", "4", "a.cnf"])).is_err());
-        assert!(parse_args(&args(&["--queue", "2", "a.cnf"])).is_err());
-        assert!(parse_args(&args(&["batch", "--requests", "0", "a.cnf"])).is_err());
-        assert!(parse_args(&args(&["batch", "--queue", "0", "a.cnf"])).is_err());
+        assert!(!parse_cli(&args(&["a.cnf"])).unwrap().batch);
+        assert!(parse_cli(&args(&["--requests", "4", "a.cnf"])).is_err());
+        assert!(parse_cli(&args(&["--queue", "2", "a.cnf"])).is_err());
+        assert!(parse_cli(&args(&["batch", "--requests", "0", "a.cnf"])).is_err());
+        assert!(parse_cli(&args(&["batch", "--queue", "0", "a.cnf"])).is_err());
     }
 
     #[test]
     fn certify_and_proof_dump_parse_and_constrain() {
-        let options = parse_args(&args(&["--certify", "a.cnf"])).unwrap();
+        let options = parse_cli(&args(&["--certify", "a.cnf"])).unwrap();
         assert!(options.certify);
         assert!(options.proof_dump.is_none());
         // --proof-dump implies --certify.
-        let options = parse_args(&args(&["--proof-dump", "p.bin", "a.cnf"])).unwrap();
+        let options = parse_cli(&args(&["--proof-dump", "p.bin", "a.cnf"])).unwrap();
         assert!(options.certify);
         assert_eq!(options.proof_dump.as_deref(), Some("p.bin"));
         // The dump needs the serial path: worker clones fork the stream.
-        assert!(parse_args(&args(&["--proof-dump", "p.bin", "--jobs", "2", "a.cnf"])).is_err());
-        assert!(parse_args(&args(&["batch", "--proof-dump", "p.bin", "a.cnf"])).is_err());
-        assert!(parse_args(&args(&["--proof-dump"])).is_err());
+        assert!(parse_cli(&args(&["--proof-dump", "p.bin", "--jobs", "2", "a.cnf"])).is_err());
+        assert!(parse_cli(&args(&["batch", "--proof-dump", "p.bin", "a.cnf"])).is_err());
+        assert!(parse_cli(&args(&["--proof-dump"])).is_err());
         // Plain --certify composes with both parallel paths.
-        assert!(parse_args(&args(&["--certify", "--jobs", "2", "a.cnf"])).is_ok());
-        assert!(parse_args(&args(&["batch", "--certify", "a.cnf"])).is_ok());
+        assert!(parse_cli(&args(&["--certify", "--jobs", "2", "a.cnf"])).is_ok());
+        assert!(parse_cli(&args(&["batch", "--certify", "a.cnf"])).is_ok());
     }
 
     #[test]
     fn rejects_missing_file_and_unknown_options() {
-        assert!(parse_args(&args(&[])).is_err());
-        assert!(parse_args(&args(&["--bogus", "x.cnf"])).is_err());
-        assert!(parse_args(&args(&["a.cnf", "b.cnf"])).is_err());
-        assert!(parse_args(&args(&["--samples", "nope", "a.cnf"])).is_err());
+        assert!(parse_cli(&args(&[])).is_err());
+        assert!(parse_cli(&args(&["--bogus", "x.cnf"])).is_err());
+        assert!(parse_cli(&args(&["a.cnf", "b.cnf"])).is_err());
+        assert!(parse_cli(&args(&["--samples", "nope", "a.cnf"])).is_err());
+    }
+
+    /// A valid value for each placeholder in the flag table.
+    fn example_value(placeholder: &str) -> &'static str {
+        match placeholder {
+            "N" | "R" | "S" | "SECS" => "2",
+            "E" => "3.5",
+            "FILE" => "p.bin",
+            "ADDR" => "127.0.0.1:4171",
+            "PATH" => "u.sock",
+            "HEX" => "00000000deadbeef",
+            other => panic!("no example value for placeholder {other}"),
+        }
+    }
+
+    #[test]
+    fn every_flag_parses_in_its_modes_and_names_them_elsewhere() {
+        for flag in FLAGS {
+            let mut given = vec![flag.name.to_string()];
+            if let Arg::Value(placeholder, _) = flag.arg {
+                given.push(example_value(placeholder).to_string());
+            }
+            for mode in [Mode::Sample, Mode::Batch, Mode::Serve, Mode::Client] {
+                let result = Parsed::new(mode).read(&given);
+                let rows = FLAGS
+                    .iter()
+                    .filter(|row| row.name == flag.name && row.modes.contains(&mode))
+                    .count();
+                if flag.modes.contains(&mode) {
+                    assert_eq!(rows, 1, "{} has one meaning per mode", flag.name);
+                    assert_eq!(result, Ok(()), "{} in `{}`", flag.name, mode.name());
+                    if given.len() == 2 {
+                        let missing = Parsed::new(mode).read(&given[..1]).unwrap_err();
+                        assert!(missing.starts_with("missing value for"), "{missing}");
+                    }
+                } else if rows == 0 {
+                    let err = result.unwrap_err();
+                    assert!(err.starts_with(&format!("{} is a `", flag.name)), "{err}");
+                    for owner in flag.modes {
+                        assert!(err.contains(&format!("`{}`", owner.name())), "{err}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Parses a command line written as one string.
+    fn parse_line(line: &str) -> Result<Command, String> {
+        parse(&args(&line.split_whitespace().collect::<Vec<_>>()))
+    }
+
+    #[test]
+    fn help_and_the_serve_and_client_rules() {
+        assert!(matches!(parse_line("-h"), Ok(Command::Help(Mode::Sample))));
+        assert!(matches!(
+            parse_line("client --seed 3 --help"),
+            Ok(Command::Help(Mode::Client))
+        ));
+        assert_eq!(parse_line("").err(), Some(help_text(Mode::Sample)));
+        for (line, error) in [
+            (
+                "--max-formulas 2 a.cnf",
+                "--max-formulas is a `serve` option",
+            ),
+            ("serve --quiet", "serve needs at least one listener"),
+            ("client --health", "client needs exactly one of"),
+            (
+                "client --unix s --connect h:1 --health",
+                "client needs exactly one of",
+            ),
+            ("client --unix s", "nothing to do"),
+            (
+                "client --unix s --fingerprint ff f.cnf",
+                "pass either FILE.cnf or",
+            ),
+            (
+                "client --unix s --fingerprint ff --selftest",
+                "--selftest needs",
+            ),
+            (
+                "client --unix s --health --cancel-demo",
+                "--cancel-demo needs",
+            ),
+            ("client --unix s --fingerprint xyz", "invalid value `xyz`"),
+        ] {
+            let refused = parse_line(line).err().unwrap_or_default();
+            assert!(refused.starts_with(error), "{line}: {refused}");
+        }
+        let Ok(Command::Serve(config)) = parse_line("serve --unix s --jobs 3") else {
+            panic!("serve with a listener parses");
+        };
+        assert_eq!((config.unix, config.workers), (Some(PathBuf::from("s")), 3));
+        let Ok(Command::Client(options)) =
+            parse_line("client --connect h:1 --samples 16 --fingerprint 0xff")
+        else {
+            panic!("a fingerprint request parses");
+        };
+        assert_eq!(
+            (options.samples, options.seed, options.epsilon),
+            (16, 1, 6.0)
+        );
+        assert_eq!(options.fingerprint, Some(0xff));
     }
 
     #[test]
@@ -1167,20 +1257,16 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join("unigen_cli_smoke.cnf");
         std::fs::write(&path, "c ind 1 2 0\np cnf 3 2\n1 2 0\nx 1 3 0\n").unwrap();
-        let options = CliOptions {
-            file: path.to_string_lossy().into_owned(),
-            samples: 3,
-            epsilon: 6.0,
-            seed: 7,
-            timeout: None,
-            jobs: None,
-            certify: false,
-            proof_dump: None,
-            verbose: true,
-            batch: false,
-            requests: 1,
-            queue: 16,
-        };
+        let file = path.to_string_lossy().into_owned();
+        let options = parse_cli(&args(&[
+            "--samples",
+            "3",
+            "--seed",
+            "7",
+            "--verbose",
+            &file,
+        ]))
+        .unwrap();
         run(&options).unwrap();
         // Certified serial run with a proof dump, re-checked offline.
         let dump = dir.join("unigen_cli_smoke.proof");

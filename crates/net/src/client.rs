@@ -14,10 +14,12 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
+use unigen::OutcomeKind;
+
 use crate::server::default_spec;
 use crate::wire::{
-    self, Decoder, ErrorCode, FormulaRef, Frame, FrameError, WireHealth, WireOutcomeKind, WireSpec,
-    WireStats, PROTOCOL_VERSION,
+    self, Decoder, ErrorCode, FormulaRef, Frame, FrameError, WireHealth, WireSpec, WireStats,
+    PROTOCOL_VERSION,
 };
 
 /// Client-side failure.
@@ -132,7 +134,7 @@ pub struct WireOutcome {
     /// Witness index within the batch.
     pub index: u64,
     /// Outcome kind.
-    pub kind: WireOutcomeKind,
+    pub kind: OutcomeKind,
     /// Projected witness values (sampling-set order) for `Witness`
     /// outcomes.
     pub witness: Option<Vec<bool>>,
@@ -375,7 +377,7 @@ impl Client {
                     Some(pending) => pending,
                     None => return Ok(()),
                 };
-                let witness = if kind == WireOutcomeKind::Witness {
+                let witness = if kind == OutcomeKind::Witness {
                     match wire::unpack_bits(&bits, pending.sampling_set.len()) {
                         Some(values) => Some(values),
                         None => {

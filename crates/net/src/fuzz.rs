@@ -12,10 +12,10 @@
 //!
 //! [`FrameError`]: crate::wire::FrameError
 
-use unigen::SPLITMIX64_GAMMA;
+use unigen::{OutcomeKind, SPLITMIX64_GAMMA};
 
 use crate::wire::{
-    put_varint, Decoder, ErrorCode, Family, FormulaRef, Frame, WireHealth, WireOutcomeKind,
+    outcome_kind_from_u8, put_varint, Decoder, ErrorCode, Family, FormulaRef, Frame, WireHealth,
     WireSpec, WireStats, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
@@ -81,8 +81,7 @@ fn random_frame(rng: &mut u64) -> Frame {
         7 => Frame::Chunk {
             id: splitmix64(rng) % 100,
             index: splitmix64(rng) % 1000,
-            kind: WireOutcomeKind::from_u8((splitmix64(rng) % 4) as u8)
-                .unwrap_or(WireOutcomeKind::Bottom),
+            kind: outcome_kind_from_u8((splitmix64(rng) % 4) as u8).unwrap_or(OutcomeKind::Bottom),
             bits: {
                 let n = (splitmix64(rng) % 16) as usize;
                 (0..n).map(|_| (splitmix64(rng) & 0xff) as u8).collect()

@@ -48,6 +48,12 @@ const TOKEN_CONN_BASE: u64 = 3;
 /// Bytes drained per connection per fairness round.
 const DRAIN_SLICE: usize = 16 * 1024;
 
+/// Byte capacity of each connection's outbound buffer.
+const OUTBOUND_CAPACITY: usize = 256 * 1024;
+
+/// `QueueFull` retries before a request is rejected as `Busy`.
+const SUBMIT_RETRY_BUDGET: usize = 64;
+
 fn lock_ok<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     match mutex.lock() {
         Ok(guard) => guard,
@@ -92,10 +98,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Request-queue capacity per prepared service; 0 uses the default.
     pub queue_capacity: usize,
-    /// Byte capacity of each connection's outbound buffer.
-    pub outbound_capacity: usize,
-    /// `QueueFull` retries before a request is rejected as `Busy`.
-    pub submit_retry_budget: usize,
     /// Max prepared formula+spec entries in the registry.
     pub max_formulas: usize,
     /// Honor wire `Shutdown` frames (the CLI's `--allow-shutdown`).
@@ -114,8 +116,6 @@ impl Default for ServeConfig {
             unix: None,
             workers: 0,
             queue_capacity: 0,
-            outbound_capacity: 256 * 1024,
-            submit_retry_budget: 64,
             max_formulas: 64,
             allow_shutdown: false,
             preload: Vec::new(),
@@ -361,7 +361,6 @@ struct Shared {
     registry: Registry,
     stop: AtomicBool,
     allow_shutdown: bool,
-    submit_retry_budget: usize,
     quiet: bool,
 }
 
@@ -449,7 +448,6 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
         registry: Registry::new(config.max_formulas, service_config),
         stop: AtomicBool::new(false),
         allow_shutdown: config.allow_shutdown,
-        submit_retry_budget: config.submit_retry_budget,
         quiet: config.quiet,
     });
 
@@ -525,7 +523,6 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
             next_token: TOKEN_CONN_BASE,
             rr_cursor: 0,
             workers: Vec::new(),
-            outbound_capacity: config.outbound_capacity,
         };
         event_loop.run();
     });
@@ -550,7 +547,6 @@ struct EventLoop {
     next_token: u64,
     rr_cursor: usize,
     workers: Vec<JoinHandle<()>>,
-    outbound_capacity: usize,
 }
 
 impl EventLoop {
@@ -660,7 +656,7 @@ impl EventLoop {
             transport,
             peer,
             decoder: Decoder::new(),
-            outbound: Arc::new(Outbound::new(self.outbound_capacity, waker)),
+            outbound: Arc::new(Outbound::new(OUTBOUND_CAPACITY, waker)),
             requests: Arc::new(ConnRequests::new()),
             submit_retries: Arc::new(AtomicU64::new(0)),
             wbuf: Vec::new(),
@@ -946,7 +942,7 @@ impl EventLoop {
                         &outbound,
                         &cancel,
                         &submit_retries,
-                        shared.submit_retry_budget,
+                        SUBMIT_RETRY_BUDGET,
                     );
                     requests.finish(id);
                     let health = entry.service.health();

@@ -57,6 +57,8 @@
 
 use std::fmt;
 
+use unigen::OutcomeKind;
+
 /// Connection magic carried in the `Hello` frame.
 pub const MAGIC: [u8; 4] = *b"UGNW";
 
@@ -192,39 +194,28 @@ impl Family {
     }
 }
 
-/// Outcome kind of a streamed chunk (mirrors `unigen::OutcomeKind`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireOutcomeKind {
-    /// A sampled witness; the chunk carries packed projection bits.
-    Witness,
-    /// The sampler returned bottom (gave up within its budget).
-    Bottom,
-    /// The per-item budget interrupted the solve.
-    Interrupted,
-    /// An injected or real fault consumed the item.
-    Faulted,
+/// Outcome kind of a streamed chunk: the in-process [`OutcomeKind`] itself,
+/// under the name existing importers of this module use.
+pub type WireOutcomeKind = OutcomeKind;
+
+/// Wire byte for an outcome kind.
+pub fn outcome_kind_to_u8(kind: OutcomeKind) -> u8 {
+    match kind {
+        OutcomeKind::Witness => 0,
+        OutcomeKind::Bottom => 1,
+        OutcomeKind::Interrupted => 2,
+        OutcomeKind::Faulted => 3,
+    }
 }
 
-impl WireOutcomeKind {
-    /// Wire byte for this outcome kind.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            WireOutcomeKind::Witness => 0,
-            WireOutcomeKind::Bottom => 1,
-            WireOutcomeKind::Interrupted => 2,
-            WireOutcomeKind::Faulted => 3,
-        }
-    }
-
-    /// Decode a wire byte; `None` for unknown values.
-    pub fn from_u8(byte: u8) -> Option<WireOutcomeKind> {
-        match byte {
-            0 => Some(WireOutcomeKind::Witness),
-            1 => Some(WireOutcomeKind::Bottom),
-            2 => Some(WireOutcomeKind::Interrupted),
-            3 => Some(WireOutcomeKind::Faulted),
-            _ => None,
-        }
+/// Decode an outcome-kind wire byte; `None` for unknown values.
+pub fn outcome_kind_from_u8(byte: u8) -> Option<OutcomeKind> {
+    match byte {
+        0 => Some(OutcomeKind::Witness),
+        1 => Some(OutcomeKind::Bottom),
+        2 => Some(OutcomeKind::Interrupted),
+        3 => Some(OutcomeKind::Faulted),
+        _ => None,
     }
 }
 
@@ -429,7 +420,7 @@ pub enum Frame {
         /// increasing).
         index: u64,
         /// What the sampler produced at this index.
-        kind: WireOutcomeKind,
+        kind: OutcomeKind,
         /// Packed projection bits, LSB-first over `sampling_set`
         /// (empty unless `kind` is `Witness`).
         bits: Vec<u8>,
@@ -599,7 +590,7 @@ impl Frame {
                 p.push(tag::CHUNK);
                 put_varint(&mut p, *id);
                 put_varint(&mut p, *index);
-                p.push(kind.as_u8());
+                p.push(outcome_kind_to_u8(*kind));
                 put_varint(&mut p, bits.len() as u64);
                 p.extend_from_slice(bits);
             }
@@ -823,7 +814,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
         tag::CHUNK => {
             let id = r.varint()?;
             let index = r.varint()?;
-            let kind = WireOutcomeKind::from_u8(r.u8()?).ok_or(FrameError::BadValue {
+            let kind = outcome_kind_from_u8(r.u8()?).ok_or(FrameError::BadValue {
                 context: "outcome kind",
             })?;
             let len = r.varint()?;
@@ -1089,13 +1080,13 @@ mod tests {
         roundtrip(&Frame::Chunk {
             id: 7,
             index: 3,
-            kind: WireOutcomeKind::Witness,
+            kind: OutcomeKind::Witness,
             bits: vec![0b1010_0001, 0b0000_0011],
         });
         roundtrip(&Frame::Chunk {
             id: 7,
             index: 4,
-            kind: WireOutcomeKind::Bottom,
+            kind: OutcomeKind::Bottom,
             bits: Vec::new(),
         });
         roundtrip(&Frame::Done {

@@ -1,7 +1,8 @@
 //! The determinism contract at the CLI surface: `unigen_cli --jobs N` and
 //! `unigen_cli batch --jobs N` print the same witness lines for every
 //! worker count, and those lines are exactly the sampling-set projections of
-//! the serial reference `WitnessSampler::sample_batch(samples, seed)`.
+//! the serial reference `WitnessSampler::sample_batch(samples, seed)`. Also
+//! pins the flags each mode's `--help` lists.
 
 use std::process::Command;
 
@@ -82,4 +83,43 @@ fn jobs_and_batch_print_the_serial_reference_witnesses() {
         );
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Every mode's `--help` exits 0 and lists on stdout each flag the mode
+/// accepts — the same sets the hand-written parsers accepted before the
+/// flag table replaced them.
+#[test]
+fn help_lists_every_flag_of_each_mode() {
+    let sampling = "--samples --epsilon --seed --timeout --jobs --certify --proof-dump --verbose";
+    for (mode, flags) in [
+        (None, sampling.to_string()),
+        (Some("batch"), format!("{sampling} --requests --queue")),
+        (
+            Some("serve"),
+            "--listen --unix --jobs --queue --max-formulas --allow-shutdown --quiet".into(),
+        ),
+        (
+            Some("client"),
+            "--connect --unix --samples --seed --epsilon --prepare-seed --timeout \
+             --fingerprint --health --selftest --cancel-demo --shutdown"
+                .into(),
+        ),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_unigen_cli"))
+            .args(mode)
+            .arg("--help")
+            .output()
+            .expect("unigen_cli runs");
+        assert!(output.status.success(), "{mode:?} --help exits 0");
+        let help = String::from_utf8(output.stdout).expect("stdout is UTF-8");
+        let mut listed: Vec<&str> = help
+            .lines()
+            .filter_map(|line| line.split_whitespace().next())
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        let mut expected: Vec<&str> = flags.split_whitespace().collect();
+        listed.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(listed, expected, "{mode:?} --help:\n{help}");
+    }
 }

@@ -17,7 +17,6 @@ use unigen::{OutcomeKind, SamplerBuilder, UniGen, WitnessSampler};
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
 use unigen_net::server::default_spec;
-use unigen_net::wire::WireOutcomeKind;
 use unigen_net::{serve, Decoder, ErrorCode, Frame, ServeConfig, PROTOCOL_VERSION};
 
 const DIMACS: &str = "p cnf 5 3\n1 2 0\n-3 4 0\n2 5 0\n";
@@ -45,7 +44,7 @@ fn test_spec() -> unigen_net::wire::WireSpec {
 
 /// In-process reference batch with the same spec: the projected bits
 /// every wire stream must reproduce exactly.
-fn reference_batch(count: usize, master_seed: u64) -> Vec<(WireOutcomeKind, Option<Vec<bool>>)> {
+fn reference_batch(count: usize, master_seed: u64) -> Vec<(OutcomeKind, Option<Vec<bool>>)> {
     let formula = dimacs::parse(DIMACS).expect("test formula parses");
     let sampling_set = formula.sampling_set_or_all();
     let built = SamplerBuilder::unigen(&formula)
@@ -61,17 +60,11 @@ fn reference_batch(count: usize, master_seed: u64) -> Vec<(WireOutcomeKind, Opti
         .sample_batch(count, master_seed)
         .into_iter()
         .map(|outcome| {
-            let kind = match outcome.kind {
-                OutcomeKind::Witness => WireOutcomeKind::Witness,
-                OutcomeKind::Bottom => WireOutcomeKind::Bottom,
-                OutcomeKind::Interrupted => WireOutcomeKind::Interrupted,
-                OutcomeKind::Faulted => WireOutcomeKind::Faulted,
-            };
             let bits = outcome
                 .witness
                 .as_ref()
                 .map(|model| sampling_set.iter().map(|&v| model.value(v)).collect());
-            (kind, bits)
+            (outcome.kind, bits)
         })
         .collect()
 }

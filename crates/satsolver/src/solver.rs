@@ -13,7 +13,10 @@ use std::sync::Arc;
 
 use crate::budget::Budget;
 use crate::clause_db::{ClauseDb, ClauseRef, Watcher};
-use crate::config::{GaussMode, SolverConfig};
+use crate::config::{
+    GaussMode, SolverConfig, CLAUSE_DECAY, DEFAULT_POLARITY, GAUSS_AUTO_THRESHOLD,
+    LEARNED_CLAUSE_GROWTH, LEARNED_CLAUSE_LIMIT, RESTART_INTERVAL, VAR_DECAY,
+};
 use crate::decide::Vsids;
 use crate::fault::{FaultHook, FaultSite, InterruptReason};
 use crate::gauss::{BuildOutcome, GaussEngine, GaussResult};
@@ -231,7 +234,7 @@ impl Solver {
         let mut solver = Solver {
             num_vars,
             num_base_vars: num_vars,
-            clauses: ClauseDb::new(num_vars, config.clause_decay),
+            clauses: ClauseDb::new(num_vars, CLAUSE_DECAY),
             xors: XorEngine::new(num_vars),
             assign: vec![None; num_vars],
             level: vec![0; num_vars],
@@ -239,9 +242,9 @@ impl Solver {
             trail: Vec::with_capacity(num_vars),
             trail_lim: Vec::new(),
             qhead: 0,
-            vsids: Vsids::new(num_vars, config.var_decay, config.default_polarity, &noise),
-            restarts: LubyRestarts::new(config.restart_interval),
-            learned_limit: config.learned_clause_limit as f64,
+            vsids: Vsids::new(num_vars, VAR_DECAY, DEFAULT_POLARITY, &noise),
+            restarts: LubyRestarts::new(RESTART_INTERVAL),
+            learned_limit: LEARNED_CLAUSE_LIMIT as f64,
             config,
             ok: true,
             stats: SolverStats::default(),
@@ -680,8 +683,7 @@ impl Solver {
             let use_matrix = match self.config.gauss {
                 GaussMode::On => true,
                 GaussMode::Auto => {
-                    existing > 0
-                        || rows.len() + existing + watched >= self.config.gauss_auto_threshold
+                    existing > 0 || rows.len() + existing + watched >= GAUSS_AUTO_THRESHOLD
                 }
                 GaussMode::Off => false,
             };
@@ -1524,7 +1526,7 @@ impl Solver {
         self.log_deletions(&deleted);
         self.stats.deleted_clauses += deleted.len() as u64;
         self.stats.learned_clauses = self.clauses.num_learned() as u64;
-        self.learned_limit *= self.config.learned_clause_growth;
+        self.learned_limit *= LEARNED_CLAUSE_GROWTH;
     }
 
     /// Logs a `Delete` step for each just-tombstoned clause (their literals
@@ -2086,7 +2088,6 @@ mod tests {
         let f = dimacs::parse("p cnf 3 0\n").unwrap();
         let config = SolverConfig {
             gauss: GaussMode::Auto,
-            gauss_auto_threshold: 2,
             ..SolverConfig::default()
         };
         let mut solver = Solver::from_formula_with_config(&f, config);

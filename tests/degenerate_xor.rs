@@ -27,8 +27,6 @@ use unigen_satsolver::{
 fn config(gauss: GaussMode) -> SolverConfig {
     SolverConfig {
         gauss,
-        // Force the matrix path for arbitrarily small layers in On mode.
-        gauss_auto_threshold: 1,
         ..SolverConfig::default()
     }
 }
