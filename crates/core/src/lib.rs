@@ -83,6 +83,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[macro_use]
+mod counters;
+
 mod builder;
 mod certify;
 mod config;

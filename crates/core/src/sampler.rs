@@ -8,68 +8,73 @@ use unigen_cnf::{Model, Var};
 
 use crate::mix::{mix64, SPLITMIX64_GAMMA};
 
-/// Statistics describing the work a single sample cost.
-///
-/// These are the quantities the paper's tables report per benchmark: the
-/// average generation time, the average xor-clause length, and (implicitly,
-/// through the success probability) how often the generator returns `⊥`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SampleStats {
-    /// Number of bounded-enumeration (`BSAT`) calls issued.
-    pub bsat_calls: usize,
-    /// Number of xor clauses added across all hash draws of this sample.
-    pub xor_clauses_added: usize,
-    /// Total number of variables across those xor clauses (so the average
-    /// xor length is `xor_vars_total / xor_clauses_added`).
-    pub xor_vars_total: usize,
-    /// Wall-clock time spent producing this sample.
-    pub wall_time: Duration,
-    /// Unit propagations the solver performed for this sample (CNF + xor).
-    pub solver_propagations: u64,
-    /// Conflicts the solver hit for this sample.
-    pub solver_conflicts: u64,
-    /// Number of times the candidate hash-width window `{q−3, …, q}` had to
-    /// be clamped because it fell entirely outside the representable widths
-    /// `1..=|S|` (an over-estimated approximate count can push `q` past
-    /// `|S| + 3`). Without the clamp the width loop would silently run zero
-    /// iterations and report `⊥` with no solver work at all.
-    pub width_window_clamped: usize,
-    /// Number of times this sample's work item was *stolen* by an idle worker
-    /// from another worker's deque (0 or 1 per sample; summing over a batch
-    /// via [`SampleStats::accumulate`] counts the batch's total steals). Only
-    /// the [`crate::SamplerService`] scheduler sets this; serial sampling
-    /// leaves it 0.
-    pub steals: usize,
-    /// Time this sample's work item spent queued in the service scheduler
-    /// between request submission and execution start. Only the
-    /// [`crate::SamplerService`] scheduler sets this; serial sampling leaves
-    /// it zero.
-    pub queue_wait: Duration,
-    /// Number of cell enumerations that were *interrupted* (budget fired or
-    /// fault injected) while producing this sample. Distinct from a genuine
-    /// `⊥`: an interrupted cell says nothing about the cell's content,
-    /// which is why the samplers no longer conflate the two.
-    pub interrupted_cells: usize,
-    /// Number of times an interrupted or faulted call was retried while
-    /// producing this sample (cell-level retries in the samplers plus
-    /// item-level retries in the service).
-    pub retries: usize,
-    /// Number of times the degradation ladder stepped down while producing
-    /// this sample (Gauss-poisoned cell retried Gauss-off, or the
-    /// incremental solver rebuilt from its pristine snapshot).
-    pub degradations: usize,
-    /// Number of injected faults observed while producing this sample.
-    /// Zero unless a [`crate::FaultPlan`] (or custom hook) is installed.
-    pub faults_injected: usize,
-    /// Proof-stream bytes logged by the solver and fed to the independent
-    /// checker while producing this sample. Zero unless certified
-    /// enumeration ([`crate::UniGenConfig::certify`]) is on.
-    pub proof_bytes: usize,
-    /// Number of incremental certification checks run while producing this
-    /// sample (one per cell enumeration when certify mode is on).
-    pub cert_checks: usize,
-    /// Wall-clock time spent verifying proof steps for this sample.
-    pub cert_time: Duration,
+counter_record! {
+    /// Statistics describing the work a single sample cost.
+    ///
+    /// These are the quantities the paper's tables report per benchmark: the
+    /// average generation time, the average xor-clause length, and (implicitly,
+    /// through the success probability) how often the generator returns `⊥`.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct SampleStats {
+        /// Number of bounded-enumeration (`BSAT`) calls issued.
+        pub bsat_calls: usize,
+        /// Number of xor clauses added across all hash draws of this sample.
+        pub xor_clauses_added: usize,
+        /// Total number of variables across those xor clauses (so the average
+        /// xor length is `xor_vars_total / xor_clauses_added`).
+        pub xor_vars_total: usize,
+        /// Wall-clock time spent producing this sample.
+        pub wall_time: Duration,
+        /// Unit propagations the solver performed for this sample (CNF + xor).
+        pub solver_propagations: u64,
+        /// Conflicts the solver hit for this sample.
+        pub solver_conflicts: u64,
+        /// Number of times the candidate hash-width window `{q−3, …, q}` had to
+        /// be clamped because it fell entirely outside the representable widths
+        /// `1..=|S|` (an over-estimated approximate count can push `q` past
+        /// `|S| + 3`). Without the clamp the width loop would silently run zero
+        /// iterations and report `⊥` with no solver work at all.
+        pub width_window_clamped: usize,
+        /// Number of times this sample's work item was *stolen* by an idle worker
+        /// from another worker's deque (0 or 1 per sample; summing over a batch
+        /// via [`SampleStats::accumulate`] counts the batch's total steals). Only
+        /// the [`crate::SamplerService`] scheduler sets this; serial sampling
+        /// leaves it 0.
+        pub steals: usize,
+        /// Time this sample's work item spent queued in the service scheduler
+        /// between request submission and execution start. Only the
+        /// [`crate::SamplerService`] scheduler sets this; serial sampling leaves
+        /// it zero.
+        pub queue_wait: Duration,
+        /// Number of cell enumerations that were *interrupted* (budget fired or
+        /// fault injected) while producing this sample. Distinct from a genuine
+        /// `⊥`: an interrupted cell says nothing about the cell's content,
+        /// which is why the samplers no longer conflate the two.
+        pub interrupted_cells: usize,
+        /// Number of times an interrupted or faulted call was retried while
+        /// producing this sample (cell-level retries in the samplers plus
+        /// item-level retries in the service).
+        pub retries: usize,
+        /// Number of times the degradation ladder stepped down while producing
+        /// this sample (Gauss-poisoned cell retried Gauss-off, or the
+        /// incremental solver rebuilt from its pristine snapshot).
+        pub degradations: usize,
+        /// Number of injected faults observed while producing this sample.
+        /// Zero unless a [`crate::FaultPlan`] (or custom hook) is installed.
+        pub faults_injected: usize,
+        /// Proof-stream bytes logged by the solver and fed to the independent
+        /// checker while producing this sample. Zero unless certified
+        /// enumeration ([`crate::UniGenConfig::certify`]) is on.
+        pub proof_bytes: usize,
+        /// Number of incremental certification checks run while producing this
+        /// sample (one per cell enumeration when certify mode is on).
+        pub cert_checks: usize,
+        /// Wall-clock time spent verifying proof steps for this sample.
+        pub cert_time: Duration,
+    }
+    /// Accumulates another sample's statistics into this one (used by the
+    /// harness when averaging over many samples).
+    fn accumulate;
 }
 
 impl SampleStats {
@@ -82,26 +87,15 @@ impl SampleStats {
             self.xor_vars_total as f64 / self.xor_clauses_added as f64
         }
     }
+}
 
-    /// Accumulates another sample's statistics into this one (used by the
-    /// harness when averaging over many samples).
-    pub fn accumulate(&mut self, other: &SampleStats) {
-        self.bsat_calls += other.bsat_calls;
-        self.xor_clauses_added += other.xor_clauses_added;
-        self.xor_vars_total += other.xor_vars_total;
-        self.wall_time += other.wall_time;
-        self.solver_propagations += other.solver_propagations;
-        self.solver_conflicts += other.solver_conflicts;
-        self.width_window_clamped += other.width_window_clamped;
-        self.steals += other.steals;
-        self.queue_wait += other.queue_wait;
-        self.interrupted_cells += other.interrupted_cells;
-        self.retries += other.retries;
-        self.degradations += other.degradations;
-        self.faults_injected += other.faults_injected;
-        self.proof_bytes += other.proof_bytes;
-        self.cert_checks += other.cert_checks;
-        self.cert_time += other.cert_time;
+impl<'a> std::iter::Sum<&'a SampleStats> for SampleStats {
+    /// The [`SampleStats::accumulate`] fold of `iter`, e.g. a batch's total.
+    fn sum<I: Iterator<Item = &'a SampleStats>>(iter: I) -> SampleStats {
+        iter.fold(SampleStats::default(), |mut total, stats| {
+            total.accumulate(stats);
+            total
+        })
     }
 }
 
@@ -364,6 +358,35 @@ mod tests {
         assert_eq!(a.proof_bytes, 111);
         assert_eq!(a.cert_checks, 3);
         assert_eq!(a.cert_time, Duration::from_millis(5));
+    }
+
+    #[test]
+    fn display_mentions_every_counter() {
+        let stats = SampleStats {
+            bsat_calls: 1,
+            xor_clauses_added: 2,
+            xor_vars_total: 3,
+            wall_time: Duration::from_millis(4),
+            solver_propagations: 5,
+            solver_conflicts: 6,
+            width_window_clamped: 7,
+            steals: 8,
+            queue_wait: Duration::from_micros(9),
+            interrupted_cells: 10,
+            retries: 11,
+            degradations: 12,
+            faults_injected: 13,
+            proof_bytes: 14,
+            cert_checks: 15,
+            cert_time: Duration::from_nanos(16),
+        };
+        assert_eq!(
+            stats.to_string(),
+            "bsat_calls=1 xor_clauses_added=2 xor_vars_total=3 wall_time=4ms \
+             solver_propagations=5 solver_conflicts=6 width_window_clamped=7 steals=8 \
+             queue_wait=9µs interrupted_cells=10 retries=11 degradations=12 \
+             faults_injected=13 proof_bytes=14 cert_checks=15 cert_time=16ns"
+        );
     }
 
     #[test]

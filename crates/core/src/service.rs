@@ -344,34 +344,36 @@ struct Shared {
     racy_slot_release: AtomicBool,
 }
 
-/// A point-in-time health snapshot of a [`SamplerService`], taken with
-/// [`SamplerService::health`].
-///
-/// The lifetime counters are monotone; the pool and queue fields describe
-/// the instant of the snapshot. A healthy undisturbed service reports
-/// `alive_workers == configured_workers` and zeros everywhere else once the
-/// queue drains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ServiceHealth {
-    /// Worker threads the service was configured with.
-    pub configured_workers: usize,
-    /// Workers currently alive (configured minus those that exhausted their
-    /// respawn budget and left the pool).
-    pub alive_workers: usize,
-    /// Lifetime count of caught worker panics.
-    pub worker_panics: u64,
-    /// Lifetime count of sampler respawns from the retained prototype.
-    pub respawns: u64,
-    /// Lifetime count of item-level retries (one per respawn).
-    pub item_retries: u64,
-    /// Faults injected so far by the installed [`FaultPlan`] (0 when none
-    /// is installed).
-    pub faults_injected: u64,
-    /// Admitted-but-not-yet-completed requests at snapshot time.
-    pub pending_requests: usize,
-    /// Work items sitting in the per-worker deques at snapshot time.
-    pub queued_items: usize,
+counter_record! {
+    /// A point-in-time health snapshot of a [`SamplerService`], taken with
+    /// [`SamplerService::health`].
+    ///
+    /// The lifetime counters are monotone; the pool and queue fields describe
+    /// the instant of the snapshot. A healthy undisturbed service reports
+    /// `alive_workers == configured_workers` and zeros everywhere else once the
+    /// queue drains.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub struct ServiceHealth {
+        /// Worker threads the service was configured with.
+        pub configured_workers: usize,
+        /// Workers currently alive (configured minus those that exhausted their
+        /// respawn budget and left the pool).
+        pub alive_workers: usize,
+        /// Lifetime count of caught worker panics.
+        pub worker_panics: u64,
+        /// Lifetime count of sampler respawns from the retained prototype.
+        pub respawns: u64,
+        /// Lifetime count of item-level retries (one per respawn).
+        pub item_retries: u64,
+        /// Faults injected so far by the installed [`FaultPlan`] (0 when none
+        /// is installed).
+        pub faults_injected: u64,
+        /// Admitted-but-not-yet-completed requests at snapshot time.
+        pub pending_requests: usize,
+        /// Work items sitting in the per-worker deques at snapshot time.
+        pub queued_items: usize,
+    }
 }
 
 impl ServiceHealth {
@@ -955,14 +957,10 @@ impl ResponseHandle {
             .collect();
         let finished_at = board.finished_at.expect("checked above");
         drop(board);
-        let mut aggregate_stats = SampleStats::default();
-        for outcome in &outcomes {
-            aggregate_stats.accumulate(&outcome.stats);
-        }
         SampleResponse {
             request: self.state.request,
+            aggregate_stats: outcomes.iter().map(|o| &o.stats).sum(),
             outcomes,
-            aggregate_stats,
             round_trip: finished_at.duration_since(self.state.submitted_at),
         }
     }
@@ -1022,6 +1020,25 @@ mod tests {
             .iter()
             .map(|o| o.witness.as_ref().map(|w| w.values().to_vec()))
             .collect()
+    }
+
+    #[test]
+    fn health_display_mentions_every_counter() {
+        let health = ServiceHealth {
+            configured_workers: 1,
+            alive_workers: 2,
+            worker_panics: 3,
+            respawns: 4,
+            item_retries: 5,
+            faults_injected: 6,
+            pending_requests: 7,
+            queued_items: 8,
+        };
+        assert_eq!(
+            health.to_string(),
+            "configured_workers=1 alive_workers=2 worker_panics=3 respawns=4 item_retries=5 \
+             faults_injected=6 pending_requests=7 queued_items=8"
+        );
     }
 
     #[test]

@@ -844,15 +844,6 @@ mod tests {
         assert_eq!(sampler.sampling_set(), sampling.as_slice());
     }
 
-    /// Folds a batch's stats into one accumulator.
-    fn total_stats(outcomes: &[SampleOutcome]) -> SampleStats {
-        let mut acc = SampleStats::default();
-        for outcome in outcomes {
-            acc.accumulate(&outcome.stats);
-        }
-        acc
-    }
-
     #[test]
     fn injected_bsat_fault_is_retried_to_a_bit_identical_batch() {
         let f = formula_with_count(10, 4);
@@ -872,10 +863,10 @@ mod tests {
         );
         assert_eq!(plan.faults_injected(), 1);
 
-        let total = total_stats(&faulted);
+        let total = faulted.iter().map(|o| &o.stats).sum::<SampleStats>();
         assert_eq!(total.retries, 1);
         assert_eq!(total.faults_injected, 1);
-        let clean_total = total_stats(&reference);
+        let clean_total = reference.iter().map(|o| &o.stats).sum::<SampleStats>();
         assert_eq!(clean_total.faults_injected, 0);
         assert_eq!(clean_total.retries, 0);
         // The faulted attempt itself costs exactly one extra BSAT call.
@@ -904,10 +895,11 @@ mod tests {
         );
         assert_eq!(plan.faults_injected(), 1);
 
-        let total = total_stats(&degraded);
+        let total = degraded.iter().map(|o| &o.stats).sum::<SampleStats>();
         assert_eq!(total.degradations, 1);
         assert_eq!(total.faults_injected, 1);
-        assert_eq!(total_stats(&reference).degradations, 0);
+        let clean_total = reference.iter().map(|o| &o.stats).sum::<SampleStats>();
+        assert_eq!(clean_total.degradations, 0);
         let stats = chaotic.solver_stats();
         assert_eq!(stats.guards_created, stats.guards_retired);
     }

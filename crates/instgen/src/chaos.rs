@@ -105,14 +105,6 @@ fn witness_sequence(outcomes: &[SampleOutcome]) -> Vec<Option<Vec<bool>>> {
         .collect()
 }
 
-fn total_stats(outcomes: &[SampleOutcome]) -> SampleStats {
-    let mut total = SampleStats::default();
-    for outcome in outcomes {
-        total.accumulate(&outcome.stats);
-    }
-    total
-}
-
 /// Runs the chaos differential check on `formula` with the per-case batch
 /// size `count`. Unsatisfiable instances verify the typed preparation error
 /// and return early — there is no sampling stack to fault.
@@ -187,7 +179,7 @@ pub fn chaos_case(name: &str, formula: &CnfFormula, seed: u64, count: usize) -> 
             return report;
         }
         *lane_fault = plan.faults_injected();
-        let totals = total_stats(&batch);
+        let totals: SampleStats = batch.iter().map(|o| &o.stats).sum();
         report.faults_injected = plan.faults_injected();
         report.retries = totals.retries;
         report.degradations = totals.degradations;

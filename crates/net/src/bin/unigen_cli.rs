@@ -585,25 +585,11 @@ fn run(options: &CliOptions) -> Result<(), String> {
         };
         if options.verbose {
             eprintln!(
-                "c sample {i}: kind={} bsat_calls={} avg_xor_len={:.1} time={:?} steals={} \
-                 queue_wait={:?} interrupted_cells={} retries={} degradations={} faults={}",
+                "c sample {i}: kind={} avg_xor_len={:.1} {}",
                 outcome.kind,
-                outcome.stats.bsat_calls,
                 outcome.stats.average_xor_length(),
-                outcome.stats.wall_time,
-                outcome.stats.steals,
-                outcome.stats.queue_wait,
-                outcome.stats.interrupted_cells,
-                outcome.stats.retries,
-                outcome.stats.degradations,
-                outcome.stats.faults_injected
+                outcome.stats
             );
-            if outcome.stats.cert_checks > 0 {
-                eprintln!(
-                    "c sample {i}: cert_checks={} proof_bytes={} cert_time={:?}",
-                    outcome.stats.cert_checks, outcome.stats.proof_bytes, outcome.stats.cert_time
-                );
-            }
         }
         success
     };
@@ -645,28 +631,9 @@ fn run(options: &CliOptions) -> Result<(), String> {
         produced as f64 / options.samples.max(1) as f64
     );
     if options.verbose {
-        // The persistent incremental solver's lifetime counters: how many
-        // per-cell guards were cycled and how much learned knowledge was
-        // scoped to cells (retired) versus kept across them (retained).
-        let stats = sampler.solver_stats();
-        eprintln!("c solver: {stats}");
-        eprintln!(
-            "c incremental: guards created={} retired={} guarded learned clauses retired={} learned clauses retained={}",
-            stats.guards_created,
-            stats.guards_retired,
-            stats.guarded_learned_retired,
-            stats.learned_retained
-        );
-        // Gauss–Jordan matrix propagation over the guarded hash layers:
-        // how many layers were compiled to matrices and what they did.
-        eprintln!(
-            "c gauss: matrices={} rows={} propagations={} conflicts={} row xors={}",
-            stats.gauss_matrices,
-            stats.gauss_rows,
-            stats.gauss_propagations,
-            stats.gauss_conflicts,
-            stats.gauss_row_ops
-        );
+        // The persistent incremental solver's lifetime counters, guard and
+        // Gauss–Jordan counters included.
+        eprintln!("c solver: {}", sampler.solver_stats());
     }
     Ok(())
 }
@@ -746,18 +713,12 @@ fn run_batch(
         let response = handle.wait();
         totals.accumulate(&response.aggregate_stats);
         eprintln!(
-            "c request {r}: seed={} witnesses={}/{} round_trip={:?} queue_wait_total={:?} \
-             steals={} interrupted_cells={} retries={} degradations={} faults={}",
+            "c request {r}: seed={} witnesses={}/{} round_trip={:?} {}",
             request.master_seed,
             response.successes(),
             request.count,
             response.round_trip,
-            response.aggregate_stats.queue_wait,
-            response.aggregate_stats.steals,
-            response.aggregate_stats.interrupted_cells,
-            response.aggregate_stats.retries,
-            response.aggregate_stats.degradations,
-            response.aggregate_stats.faults_injected
+            response.aggregate_stats
         );
         if options.certify {
             cert_checks += certify_verdict(&response.outcomes)?;
@@ -773,23 +734,11 @@ fn run_batch(
         produced as f64 / options.samples.max(1) as f64
     );
     eprintln!(
-        "c service totals: bsat_calls={} steals={} queue_wait_total={:?} worker_items={:?} worker_steals={:?}",
-        totals.bsat_calls,
-        service.steals(),
-        totals.queue_wait,
+        "c service totals: {totals} worker_items={:?} worker_steals={:?}",
         service.worker_items(),
         service.worker_steals()
     );
-    let health = service.health();
-    eprintln!(
-        "c service health: workers {}/{} alive, panics={} respawns={} item_retries={} faults_injected={}",
-        health.alive_workers,
-        health.configured_workers,
-        health.worker_panics,
-        health.respawns,
-        health.item_retries,
-        health.faults_injected
-    );
+    eprintln!("c service health: {}", service.health());
     Ok(())
 }
 
@@ -943,17 +892,8 @@ fn run_client(options: &ClientOptions) -> Result<(), String> {
             }
         }
         eprintln!(
-            "c client: {} witnesses / {} requested, bsat_calls={} steals={} retries={} \
-             degradations={} faults={} queue_wait={}us wall={}us",
-            batch.successes,
-            options.samples,
-            batch.stats.bsat_calls,
-            batch.stats.steals,
-            batch.stats.retries,
-            batch.stats.degradations,
-            batch.stats.faults_injected,
-            batch.stats.queue_wait_micros,
-            batch.stats.wall_micros
+            "c client: {} witnesses / {} requested, {}",
+            batch.successes, options.samples, batch.stats
         );
 
         if let Some(id) = demo_id {
@@ -985,20 +925,7 @@ fn run_client(options: &ClientOptions) -> Result<(), String> {
 
     if options.health {
         let health = client.health().map_err(|e| e.to_string())?;
-        eprintln!(
-            "c health: services={} workers={}/{} panics={} respawns={} item_retries={} \
-             faults={} pending_requests={} queued_items={} connections={}",
-            health.services,
-            health.alive_workers,
-            health.configured_workers,
-            health.worker_panics,
-            health.respawns,
-            health.item_retries,
-            health.faults_injected,
-            health.pending_requests,
-            health.queued_items,
-            health.connections
-        );
+        eprintln!("c health: {health}");
     }
 
     if options.shutdown {

@@ -17,6 +17,7 @@ use std::path::Path;
 use unigen::OutcomeKind;
 
 use crate::server::default_spec;
+use crate::transport::Transport;
 use crate::wire::{
     self, Decoder, ErrorCode, FormulaRef, Frame, FrameError, WireHealth, WireSpec, WireStats,
     PROTOCOL_VERSION,
@@ -165,30 +166,9 @@ struct Pending {
     finished: Option<Result<(u64, WireStats), (ErrorCode, String)>>,
 }
 
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.write_all(buf),
-            Stream::Unix(s) => s.write_all(buf),
-        }
-    }
-}
-
 /// A blocking connection to the sampler daemon.
 pub struct Client {
-    stream: Stream,
+    stream: Transport,
     decoder: Decoder,
     next_id: u64,
     pending: HashMap<u64, Pending>,
@@ -200,16 +180,16 @@ impl Client {
     pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Client::handshake(Stream::Tcp(stream))
+        Client::handshake(Transport::Tcp(stream))
     }
 
     /// Connect over a unix-domain socket and perform the handshake.
     pub fn connect_unix(path: &Path) -> Result<Client, ClientError> {
         let stream = UnixStream::connect(path)?;
-        Client::handshake(Stream::Unix(stream))
+        Client::handshake(Transport::Unix(stream))
     }
 
-    fn handshake(stream: Stream) -> Result<Client, ClientError> {
+    fn handshake(stream: Transport) -> Result<Client, ClientError> {
         let mut client = Client {
             stream,
             decoder: Decoder::new(),

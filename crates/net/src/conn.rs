@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use conc::atomic::{AtomicBool, AtomicU64, Ordering};
 use conc::sync::{Condvar, Mutex, MutexGuard};
-use unigen::{SampleRequest, SamplerService, TrySubmitError};
+use unigen::{SampleRequest, SampleStats, SamplerService, TrySubmitError};
 use unigen_cnf::Var;
 
 use crate::wire::{self, ErrorCode, Frame, WireStats};
@@ -253,9 +253,10 @@ pub struct RequestJob {
 ///
 /// Runs on a dedicated drainer thread. `cancel` is the flag registered
 /// in [`ConnRequests`]; `submit_retries` is the connection's retry
-/// counter surfaced in the serve log and health frames; `retry_budget`
-/// bounds how many times a `QueueFull` is retried (with a scheduler
-/// yield between attempts) before the request is rejected as `Busy`.
+/// counter, printed in the serve log's per-request and connection-close
+/// lines; `retry_budget` bounds how many times a `QueueFull` is retried
+/// (with a scheduler yield between attempts) before the request is
+/// rejected as `Busy`.
 pub fn run_request(
     service: &SamplerService,
     job: RequestJob,
@@ -319,7 +320,7 @@ pub fn run_request(
     }
 
     let mut successes = 0u64;
-    let mut stats = WireStats::default();
+    let mut stats = SampleStats::default();
     for (index, outcome) in handle.enumerate() {
         if cancel.load(Ordering::Acquire) {
             let _ = outbound.send_now(cancelled_frame(job.id));
@@ -333,13 +334,7 @@ pub fn run_request(
             }
             None => Vec::new(),
         };
-        stats.bsat_calls += outcome.stats.bsat_calls as u64;
-        stats.steals += outcome.stats.steals as u64;
-        stats.retries += outcome.stats.retries as u64;
-        stats.degradations += outcome.stats.degradations as u64;
-        stats.faults_injected += outcome.stats.faults_injected as u64;
-        stats.queue_wait_micros += outcome.stats.queue_wait.as_micros() as u64;
-        stats.wall_micros += outcome.stats.wall_time.as_micros() as u64;
+        stats.accumulate(&outcome.stats);
         let chunk = Frame::Chunk {
             id: job.id,
             index: index as u64,
@@ -355,7 +350,7 @@ pub fn run_request(
     let done = Frame::Done {
         id: job.id,
         successes,
-        stats,
+        stats: WireStats::from(&stats),
     }
     .encode();
     if outbound.send(done).is_err() {

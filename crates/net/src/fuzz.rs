@@ -27,6 +27,12 @@ fn splitmix64(state: &mut u64) -> u64 {
     out
 }
 
+/// A counter value of random magnitude, so records exercise every varint
+/// length from 1 to 10 bytes.
+fn counter(rng: &mut u64) -> u64 {
+    splitmix64(rng) >> (splitmix64(rng) % 64)
+}
+
 fn random_frame(rng: &mut u64) -> Frame {
     match splitmix64(rng) % 12 {
         0 => Frame::Hello {
@@ -90,15 +96,7 @@ fn random_frame(rng: &mut u64) -> Frame {
         8 => Frame::Done {
             id: splitmix64(rng) % 100,
             successes: splitmix64(rng) % 1000,
-            stats: WireStats {
-                bsat_calls: splitmix64(rng) % 10_000,
-                steals: splitmix64(rng) % 100,
-                retries: splitmix64(rng) % 10,
-                degradations: splitmix64(rng) % 10,
-                faults_injected: splitmix64(rng) % 10,
-                queue_wait_micros: splitmix64(rng),
-                wall_micros: splitmix64(rng),
-            },
+            stats: WireStats::from_values(std::array::from_fn(|_| counter(rng))),
         },
         9 => Frame::Error {
             id: splitmix64(rng) % 100,
@@ -111,18 +109,9 @@ fn random_frame(rng: &mut u64) -> Frame {
                     .collect()
             },
         },
-        10 => Frame::Health(WireHealth {
-            services: splitmix64(rng) % 10,
-            configured_workers: splitmix64(rng) % 64,
-            alive_workers: splitmix64(rng) % 64,
-            worker_panics: splitmix64(rng) % 4,
-            respawns: splitmix64(rng) % 4,
-            item_retries: splitmix64(rng) % 4,
-            faults_injected: splitmix64(rng) % 4,
-            pending_requests: splitmix64(rng) % 16,
-            queued_items: splitmix64(rng) % 256,
-            connections: splitmix64(rng) % 100,
-        }),
+        10 => Frame::Health(WireHealth::from_values(std::array::from_fn(|_| {
+            counter(rng)
+        }))),
         _ => Frame::Shutdown,
     }
 }

@@ -27,6 +27,7 @@ pub mod conn;
 pub mod fuzz;
 pub mod server;
 pub mod sys;
+mod transport;
 pub mod wire;
 
 pub use client::{Client, ClientError, ClientRequest, WireBatch, WireOutcome};

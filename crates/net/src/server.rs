@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -36,6 +36,7 @@ use unigen_cnf::Var;
 
 use crate::conn::{run_request, ConnRequests, Outbound, RequestJob};
 use crate::sys::{Poller, Readiness};
+use crate::transport::Transport;
 use crate::wire::{
     self, Decoder, ErrorCode, Family, FormulaRef, Frame, WireHealth, WireSpec, PROTOCOL_VERSION,
 };
@@ -149,13 +150,25 @@ pub struct PreparedEntry {
     pub fingerprint: u64,
 }
 
-#[derive(Clone)]
 enum EntryState {
     Preparing,
     Ready(Arc<PreparedEntry>),
     Failed(ErrorCode, String),
 }
 
+impl EntryState {
+    fn is_failed(&self) -> bool {
+        matches!(self, EntryState::Failed(..))
+    }
+}
+
+/// What a request resolves to: a prepared entry or a typed rejection.
+type Resolved = Result<Arc<PreparedEntry>, (ErrorCode, String)>;
+
+/// Prepared formulas by fingerprint. Failed prepares (unsat, bad spec)
+/// are remembered so repeats get the same typed error without a second
+/// prepare, but they do not take one of the `max` slots: the failure
+/// cache is cleared whenever it reaches `max` entries of its own.
 struct Registry {
     max: usize,
     service_config: ServiceConfig,
@@ -173,14 +186,31 @@ impl Registry {
         }
     }
 
+    /// Wait out an in-flight prepare of `fingerprint`, then return the
+    /// locked table with the settled entry (`None`: not registered).
+    fn settled(
+        &self,
+        fingerprint: u64,
+    ) -> (MutexGuard<'_, HashMap<u64, EntryState>>, Option<Resolved>) {
+        let mut entries = lock_ok(&self.entries);
+        while let Some(EntryState::Preparing) = entries.get(&fingerprint) {
+            entries = match self.ready.wait(entries) {
+                Ok(guard) => guard,
+                Err(_) => panic!("server mutex poisoned"),
+            };
+        }
+        let resolved = match entries.get(&fingerprint) {
+            Some(EntryState::Ready(entry)) => Some(Ok(Arc::clone(entry))),
+            Some(EntryState::Failed(code, detail)) => Some(Err((*code, detail.clone()))),
+            Some(EntryState::Preparing) | None => None,
+        };
+        (entries, resolved)
+    }
+
     /// Resolve an inline DIMACS request, preparing (and caching) the
     /// sampler on first sight. Concurrent requests for the same
     /// fingerprint wait for the single in-flight prepare.
-    fn resolve_inline(
-        &self,
-        dimacs_bytes: &[u8],
-        spec: &WireSpec,
-    ) -> Result<Arc<PreparedEntry>, (ErrorCode, String)> {
+    fn resolve_inline(&self, dimacs_bytes: &[u8], spec: &WireSpec) -> Resolved {
         let text = std::str::from_utf8(dimacs_bytes)
             .map_err(|_| (ErrorCode::PrepareFailed, "DIMACS is not UTF-8".to_owned()))?;
         let formula = dimacs::parse(text)
@@ -188,86 +218,54 @@ impl Registry {
         let canonical = dimacs::to_dimacs_string(&formula);
         let fingerprint = wire::fingerprint(canonical.as_bytes(), spec);
 
-        let mut entries = lock_ok(&self.entries);
-        loop {
-            match entries.get(&fingerprint).cloned() {
-                Some(EntryState::Ready(entry)) => return Ok(entry),
-                Some(EntryState::Failed(code, detail)) => return Err((code, detail)),
-                Some(EntryState::Preparing) => {
-                    entries = match self.ready.wait(entries) {
-                        Ok(guard) => guard,
-                        Err(_) => panic!("server mutex poisoned"),
-                    };
-                }
-                None => {
-                    if entries.len() >= self.max {
-                        return Err((
-                            ErrorCode::RegistryFull,
-                            format!("registry holds {} prepared formulas (max)", self.max),
-                        ));
-                    }
-                    entries.insert(fingerprint, EntryState::Preparing);
-                    drop(entries);
-                    let built = build_entry(&formula, spec, fingerprint, self.service_config);
-                    let state = match &built {
-                        Ok(entry) => EntryState::Ready(Arc::clone(entry)),
-                        Err((code, detail)) => EntryState::Failed(*code, detail.clone()),
-                    };
-                    let mut entries = lock_ok(&self.entries);
-                    entries.insert(fingerprint, state);
-                    self.ready.notify_all();
-                    drop(entries);
-                    return built;
-                }
-            }
+        let (mut entries, settled) = self.settled(fingerprint);
+        if let Some(resolved) = settled {
+            return resolved;
         }
+        if entries.values().filter(|state| !state.is_failed()).count() >= self.max {
+            return Err((
+                ErrorCode::RegistryFull,
+                format!("registry holds {} prepared formulas (max)", self.max),
+            ));
+        }
+        entries.insert(fingerprint, EntryState::Preparing);
+        drop(entries);
+        let built = build_entry(&formula, spec, fingerprint, self.service_config);
+        let mut entries = lock_ok(&self.entries);
+        let state = match &built {
+            Ok(entry) => EntryState::Ready(Arc::clone(entry)),
+            Err((code, detail)) => {
+                if entries.values().filter(|state| state.is_failed()).count() >= self.max {
+                    entries.retain(|_, state| !state.is_failed());
+                }
+                EntryState::Failed(*code, detail.clone())
+            }
+        };
+        entries.insert(fingerprint, state);
+        self.ready.notify_all();
+        built
     }
 
     /// Resolve a fingerprint-referenced request against already
     /// prepared entries (waiting out an in-flight prepare).
-    fn resolve_fingerprint(
-        &self,
-        fingerprint: u64,
-    ) -> Result<Arc<PreparedEntry>, (ErrorCode, String)> {
-        let mut entries = lock_ok(&self.entries);
-        loop {
-            match entries.get(&fingerprint).cloned() {
-                Some(EntryState::Ready(entry)) => return Ok(entry),
-                Some(EntryState::Failed(code, detail)) => return Err((code, detail)),
-                Some(EntryState::Preparing) => {
-                    entries = match self.ready.wait(entries) {
-                        Ok(guard) => guard,
-                        Err(_) => panic!("server mutex poisoned"),
-                    };
-                }
-                None => {
-                    return Err((
-                        ErrorCode::UnknownFingerprint,
-                        format!("fingerprint {fingerprint:016x} is not registered"),
-                    ))
-                }
-            }
-        }
+    fn resolve_fingerprint(&self, fingerprint: u64) -> Resolved {
+        self.settled(fingerprint).1.unwrap_or_else(|| {
+            Err((
+                ErrorCode::UnknownFingerprint,
+                format!("fingerprint {fingerprint:016x} is not registered"),
+            ))
+        })
     }
 
-    /// Aggregate `ServiceHealth` across every ready entry.
+    /// Fold the `ServiceHealth` of every ready entry into one total.
     fn health(&self) -> WireHealth {
-        let mut agg = WireHealth::default();
+        let mut total = WireHealth::default();
         for state in lock_ok(&self.entries).values() {
             if let EntryState::Ready(entry) = state {
-                let h = entry.service.health();
-                agg.services += 1;
-                agg.configured_workers += h.configured_workers as u64;
-                agg.alive_workers += h.alive_workers as u64;
-                agg.worker_panics += h.worker_panics;
-                agg.respawns += h.respawns;
-                agg.item_retries += h.item_retries;
-                agg.faults_injected += h.faults_injected;
-                agg.pending_requests += h.pending_requests as u64;
-                agg.queued_items += h.queued_items as u64;
+                total.add_service(&entry.service.health());
             }
         }
-        agg
+        total
     }
 }
 
@@ -276,7 +274,7 @@ fn build_entry(
     spec: &WireSpec,
     fingerprint: u64,
     service_config: ServiceConfig,
-) -> Result<Arc<PreparedEntry>, (ErrorCode, String)> {
+) -> Resolved {
     let mut builder = match spec.family {
         Family::UniGen => SamplerBuilder::unigen(formula),
         Family::UniWit => SamplerBuilder::uniwit(formula),
@@ -305,34 +303,6 @@ fn build_entry(
 // ---------------------------------------------------------------------------
 // Event loop
 // ---------------------------------------------------------------------------
-
-enum Transport {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Transport {
-    fn raw_fd(&self) -> RawFd {
-        match self {
-            Transport::Tcp(s) => s.as_raw_fd(),
-            Transport::Unix(s) => s.as_raw_fd(),
-        }
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Transport::Tcp(s) => s.read(buf),
-            Transport::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Transport::Tcp(s) => s.write(buf),
-            Transport::Unix(s) => s.write(buf),
-        }
-    }
-}
 
 struct Conn {
     transport: Transport,
@@ -636,18 +606,17 @@ impl EventLoop {
     }
 
     fn install_conn(&mut self, transport: Transport, peer: String) {
-        let nonblocking = match &transport {
-            Transport::Tcp(s) => s.set_nonblocking(true),
-            Transport::Unix(s) => s.set_nonblocking(true),
-        };
-        if let Err(err) = nonblocking {
+        if let Err(err) = transport.set_nonblocking(true) {
             self.shared
                 .log(format_args!("set_nonblocking failed: {err}"));
             return;
         }
         let token = self.next_token;
         self.next_token += 1;
-        if let Err(err) = self.poller.register(transport.raw_fd(), token, true, false) {
+        if let Err(err) = self
+            .poller
+            .register(transport.as_raw_fd(), token, true, false)
+        {
             self.shared.log(format_args!("register failed: {err}"));
             return;
         }
@@ -945,15 +914,13 @@ impl EventLoop {
                         SUBMIT_RETRY_BUDGET,
                     );
                     requests.finish(id);
-                    let health = entry.service.health();
                     shared.log(format_args!(
                         "conn {token} req {id}: {end:?} fp={:016x} submit_retries={} \
-                         outbound_bytes={} pending_requests={} queued_items={}",
+                         outbound_bytes={} {}",
                         entry.fingerprint,
                         submit_retries.load(Ordering::Relaxed),
                         outbound.queued_bytes(),
-                        health.pending_requests,
-                        health.queued_items,
+                        entry.service.health(),
                     ));
                 }
             }
@@ -1025,9 +992,9 @@ impl EventLoop {
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
                     if !conn.want_write {
                         conn.want_write = true;
-                        let _ = self
-                            .poller
-                            .reregister(conn.transport.raw_fd(), token, true, true);
+                        let _ =
+                            self.poller
+                                .reregister(conn.transport.as_raw_fd(), token, true, true);
                     }
                     return if progressed {
                         FlushResult::Progress
@@ -1044,7 +1011,7 @@ impl EventLoop {
             conn.want_write = false;
             let _ = self
                 .poller
-                .reregister(conn.transport.raw_fd(), token, true, false);
+                .reregister(conn.transport.as_raw_fd(), token, true, false);
         }
         if conn.closing && !conn.has_pending_write() {
             return FlushResult::Dead("closed after protocol error");
@@ -1058,7 +1025,7 @@ impl EventLoop {
 
     fn disconnect(&mut self, token: u64, reason: &str) {
         if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(conn.transport.raw_fd());
+            let _ = self.poller.deregister(conn.transport.as_raw_fd());
             conn.outbound.close();
             conn.requests.cancel_all();
             self.shared.log(format_args!(

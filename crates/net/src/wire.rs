@@ -56,8 +56,9 @@
 //! two concurrent requests interleave arbitrarily on the shared pool.
 
 use std::fmt;
+use std::time::Duration;
 
-use unigen::OutcomeKind;
+use unigen::{OutcomeKind, SampleStats, ServiceHealth};
 
 /// Connection magic carried in the `Hello` frame.
 pub const MAGIC: [u8; 4] = *b"UGNW";
@@ -321,49 +322,126 @@ pub struct WireSpec {
     pub prepare_seed: u64,
 }
 
-/// Per-request aggregate statistics carried by [`Frame::Done`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Total BSAT (bounded-SAT enumeration) calls.
-    pub bsat_calls: u64,
-    /// Work-stealing steals while the request ran.
-    pub steals: u64,
-    /// Degradation-ladder retries.
-    pub retries: u64,
-    /// Degradation rungs taken.
-    pub degradations: u64,
-    /// Faults injected by the fault plan.
-    pub faults_injected: u64,
-    /// Microseconds items spent queued before a worker picked them up.
-    pub queue_wait_micros: u64,
-    /// Sampler wall-clock microseconds summed over the batch's items.
-    pub wall_micros: u64,
+/// Declares a wire counter record from one field list: a struct of `pub
+/// u64` fields whose declaration order is the wire order, its
+/// [`FIELDS`](WireStats::FIELDS) names, [`values`](WireStats::values) /
+/// [`from_values`](WireStats::from_values) in that order (which the codec
+/// and the fuzz generator use), and a `name=value` `Display`.
+macro_rules! wire_record {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident { $($(#[$doc:meta])* pub $field:ident: u64,)* }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name { $($(#[$doc])* pub $field: u64,)* }
+
+        impl $name {
+            /// Field names, in wire order.
+            pub const FIELDS: &'static [&'static str] = &[$(stringify!($field)),*];
+
+            /// Field values, in wire order.
+            pub fn values(&self) -> [u64; $name::FIELDS.len()] {
+                [$(self.$field),*]
+            }
+
+            /// The record holding `values`, given in wire order.
+            pub fn from_values(values: [u64; $name::FIELDS.len()]) -> $name {
+                let [$($field),*] = values;
+                $name { $($field),* }
+            }
+        }
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                for (i, (name, value)) in $name::FIELDS.iter().zip(self.values()).enumerate() {
+                    let sep = if i == 0 { "" } else { " " };
+                    write!(f, "{sep}{name}={value}")?;
+                }
+                Ok(())
+            }
+        }
+    };
 }
 
-/// Service-wide health snapshot carried by [`Frame::Health`]
-/// (aggregates `unigen::ServiceHealth` across every registry service).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireHealth {
-    /// Prepared sampler services currently in the registry.
-    pub services: u64,
-    /// Sum of configured workers across services.
-    pub configured_workers: u64,
-    /// Sum of currently-alive workers.
-    pub alive_workers: u64,
-    /// Total worker panics absorbed.
-    pub worker_panics: u64,
-    /// Total workers respawned after panics.
-    pub respawns: u64,
-    /// Total item retries after worker deaths.
-    pub item_retries: u64,
-    /// Total faults injected by fault plans.
-    pub faults_injected: u64,
-    /// Requests currently occupying queue slots.
-    pub pending_requests: u64,
-    /// Items currently queued or running.
-    pub queued_items: u64,
-    /// Open client connections.
-    pub connections: u64,
+wire_record! {
+    /// Per-request aggregate statistics carried by [`Frame::Done`]: the
+    /// [`SampleStats`] total of the request's outcomes, durations in µs
+    /// (see the `From<&SampleStats>` conversion).
+    pub struct WireStats {
+        /// Total BSAT (bounded-SAT enumeration) calls.
+        pub bsat_calls: u64,
+        /// Work-stealing steals while the request ran.
+        pub steals: u64,
+        /// Degradation-ladder retries.
+        pub retries: u64,
+        /// Degradation rungs taken.
+        pub degradations: u64,
+        /// Faults injected by the fault plan.
+        pub faults_injected: u64,
+        /// Microseconds items spent queued before a worker picked them up.
+        pub queue_wait_micros: u64,
+        /// Sampler wall-clock microseconds summed over the batch's items.
+        pub wall_micros: u64,
+    }
+}
+
+impl From<&SampleStats> for WireStats {
+    fn from(stats: &SampleStats) -> WireStats {
+        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        WireStats {
+            bsat_calls: stats.bsat_calls as u64,
+            steals: stats.steals as u64,
+            retries: stats.retries as u64,
+            degradations: stats.degradations as u64,
+            faults_injected: stats.faults_injected as u64,
+            queue_wait_micros: micros(stats.queue_wait),
+            wall_micros: micros(stats.wall_time),
+        }
+    }
+}
+
+wire_record! {
+    /// Service-wide health snapshot carried by [`Frame::Health`]: the
+    /// [`ServiceHealth`] of every registry service folded by
+    /// [`WireHealth::add_service`], plus the daemon's open connections.
+    pub struct WireHealth {
+        /// Prepared sampler services currently in the registry.
+        pub services: u64,
+        /// Sum of configured workers across services.
+        pub configured_workers: u64,
+        /// Sum of currently-alive workers.
+        pub alive_workers: u64,
+        /// Total worker panics absorbed.
+        pub worker_panics: u64,
+        /// Total workers respawned after panics.
+        pub respawns: u64,
+        /// Total item retries after worker deaths.
+        pub item_retries: u64,
+        /// Total faults injected by fault plans.
+        pub faults_injected: u64,
+        /// Requests currently occupying queue slots.
+        pub pending_requests: u64,
+        /// Items currently queued or running.
+        pub queued_items: u64,
+        /// Open client connections.
+        pub connections: u64,
+    }
+}
+
+impl WireHealth {
+    /// Counts one more service and adds its `health` into the totals.
+    pub fn add_service(&mut self, health: &ServiceHealth) {
+        self.services += 1;
+        self.configured_workers += health.configured_workers as u64;
+        self.alive_workers += health.alive_workers as u64;
+        self.worker_panics += health.worker_panics;
+        self.respawns += health.respawns;
+        self.item_retries += health.item_retries;
+        self.faults_injected += health.faults_injected;
+        self.pending_requests += health.pending_requests as u64;
+        self.queued_items += health.queued_items as u64;
+    }
 }
 
 /// One decoded protocol frame.
@@ -602,16 +680,8 @@ impl Frame {
                 p.push(tag::DONE);
                 put_varint(&mut p, *id);
                 put_varint(&mut p, *successes);
-                for field in [
-                    stats.bsat_calls,
-                    stats.steals,
-                    stats.retries,
-                    stats.degradations,
-                    stats.faults_injected,
-                    stats.queue_wait_micros,
-                    stats.wall_micros,
-                ] {
-                    put_varint(&mut p, field);
+                for value in stats.values() {
+                    put_varint(&mut p, value);
                 }
             }
             Frame::Error { id, code, detail } => {
@@ -623,19 +693,8 @@ impl Frame {
             }
             Frame::Health(h) => {
                 p.push(tag::HEALTH);
-                for field in [
-                    h.services,
-                    h.configured_workers,
-                    h.alive_workers,
-                    h.worker_panics,
-                    h.respawns,
-                    h.item_retries,
-                    h.faults_injected,
-                    h.pending_requests,
-                    h.queued_items,
-                    h.connections,
-                ] {
-                    put_varint(&mut p, field);
+                for value in h.values() {
+                    put_varint(&mut p, value);
                 }
             }
             Frame::Shutdown => p.push(tag::SHUTDOWN),
@@ -693,6 +752,15 @@ impl<'a> Reader<'a> {
             Ok(None) => Err(self.truncated()),
             Err(VarintError) => Err(FrameError::BadValue { context: "varint" }),
         }
+    }
+
+    /// `N` consecutive varints (a wire record's fields).
+    fn varints<const N: usize>(&mut self) -> Result<[u64; N], FrameError> {
+        let mut values = [0; N];
+        for value in &mut values {
+            *value = self.varint()?;
+        }
+        Ok(values)
     }
 
     fn bytes(&mut self, len: u64) -> Result<&'a [u8], FrameError> {
@@ -829,15 +897,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
         tag::DONE => {
             let id = r.varint()?;
             let successes = r.varint()?;
-            let stats = WireStats {
-                bsat_calls: r.varint()?,
-                steals: r.varint()?,
-                retries: r.varint()?,
-                degradations: r.varint()?,
-                faults_injected: r.varint()?,
-                queue_wait_micros: r.varint()?,
-                wall_micros: r.varint()?,
-            };
+            let stats = WireStats::from_values(r.varints()?);
             Frame::Done {
                 id,
                 successes,
@@ -855,18 +915,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
                 .to_owned();
             Frame::Error { id, code, detail }
         }
-        tag::HEALTH => Frame::Health(WireHealth {
-            services: r.varint()?,
-            configured_workers: r.varint()?,
-            alive_workers: r.varint()?,
-            worker_panics: r.varint()?,
-            respawns: r.varint()?,
-            item_retries: r.varint()?,
-            faults_injected: r.varint()?,
-            pending_requests: r.varint()?,
-            queued_items: r.varint()?,
-            connections: r.varint()?,
-        }),
+        tag::HEALTH => Frame::Health(WireHealth::from_values(r.varints()?)),
         tag::SHUTDOWN => Frame::Shutdown,
         other => return Err(FrameError::UnknownTag { tag: other }),
     };
@@ -1120,6 +1169,61 @@ mod tests {
             connections: 3,
         }));
         roundtrip(&Frame::Shutdown);
+    }
+
+    #[test]
+    fn display_mentions_every_counter() {
+        let stats = WireStats {
+            bsat_calls: 1,
+            steals: 2,
+            retries: 3,
+            degradations: 4,
+            faults_injected: 5,
+            queue_wait_micros: 6,
+            wall_micros: 7,
+        };
+        assert_eq!(
+            stats.to_string(),
+            "bsat_calls=1 steals=2 retries=3 degradations=4 faults_injected=5 \
+             queue_wait_micros=6 wall_micros=7"
+        );
+        let health = WireHealth {
+            services: 1,
+            configured_workers: 2,
+            alive_workers: 3,
+            worker_panics: 4,
+            respawns: 5,
+            item_retries: 6,
+            faults_injected: 7,
+            pending_requests: 8,
+            queued_items: 9,
+            connections: 10,
+        };
+        assert_eq!(
+            health.to_string(),
+            "services=1 configured_workers=2 alive_workers=3 worker_panics=4 respawns=5 \
+             item_retries=6 faults_injected=7 pending_requests=8 queued_items=9 connections=10"
+        );
+    }
+
+    #[test]
+    fn wire_stats_convert_sample_stats_totals_to_micros() {
+        let stats = SampleStats {
+            bsat_calls: 1,
+            steals: 2,
+            retries: 3,
+            degradations: 4,
+            faults_injected: 5,
+            queue_wait: Duration::from_nanos(6_999),
+            wall_time: Duration::from_millis(7),
+            solver_conflicts: 8,
+            ..SampleStats::default()
+        };
+        assert_eq!(
+            WireStats::from(&stats).values(),
+            [1, 2, 3, 4, 5, 6, 7_000],
+            "durations truncate to whole microseconds; other counters are not on the wire"
+        );
     }
 
     #[test]

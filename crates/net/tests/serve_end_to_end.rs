@@ -13,13 +13,16 @@ use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
-use unigen::{OutcomeKind, SamplerBuilder, UniGen, WitnessSampler};
+use unigen::{SampleOutcome, SampleStats, SamplerBuilder, UniGen, WitnessSampler};
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
 use unigen_net::server::default_spec;
 use unigen_net::{serve, Decoder, ErrorCode, Frame, ServeConfig, PROTOCOL_VERSION};
 
 const DIMACS: &str = "p cnf 5 3\n1 2 0\n-3 4 0\n2 5 0\n";
+/// 168 models over 8 variables: too many to enumerate at `EPSILON`, so
+/// each sample draws hash cells and issues BSAT calls.
+const HASHED_DIMACS: &str = "p cnf 8 2\n1 2 3 0\n-4 5 0\n";
 const EPSILON: f64 = 6.0;
 
 fn unique_socket_path(tag: &str) -> PathBuf {
@@ -42,11 +45,10 @@ fn test_spec() -> unigen_net::wire::WireSpec {
     spec
 }
 
-/// In-process reference batch with the same spec: the projected bits
-/// every wire stream must reproduce exactly.
-fn reference_batch(count: usize, master_seed: u64) -> Vec<(OutcomeKind, Option<Vec<bool>>)> {
-    let formula = dimacs::parse(DIMACS).expect("test formula parses");
-    let sampling_set = formula.sampling_set_or_all();
+/// In-process reference batch of `text` with the same spec: the outcomes
+/// whose projected bits every wire stream must reproduce exactly.
+fn reference_outcomes(text: &str, count: usize, master_seed: u64) -> Vec<SampleOutcome> {
+    let formula = dimacs::parse(text).expect("test formula parses");
     let built = SamplerBuilder::unigen(&formula)
         .epsilon(EPSILON)
         .seed(test_spec().prepare_seed)
@@ -56,30 +58,32 @@ fn reference_batch(count: usize, master_seed: u64) -> Vec<(OutcomeKind, Option<V
         .as_unigen()
         .cloned()
         .expect("a UniGen spec builds a UniGen sampler");
-    sampler
-        .sample_batch(count, master_seed)
-        .into_iter()
-        .map(|outcome| {
-            let bits = outcome
-                .witness
-                .as_ref()
-                .map(|model| sampling_set.iter().map(|&v| model.value(v)).collect());
-            (outcome.kind, bits)
-        })
-        .collect()
+    sampler.sample_batch(count, master_seed)
 }
 
-fn assert_batch_matches_reference(batch: &unigen_net::WireBatch, count: usize, master_seed: u64) {
-    let reference = reference_batch(count, master_seed);
+fn assert_batch_matches_reference(
+    batch: &unigen_net::WireBatch,
+    text: &str,
+    count: usize,
+    master_seed: u64,
+) {
+    let sampling_set = dimacs::parse(text)
+        .expect("test formula parses")
+        .sampling_set_or_all();
+    let reference = reference_outcomes(text, count, master_seed);
     assert_eq!(
         batch.outcomes.len(),
         reference.len(),
         "wire batch length diverged from in-process sample_batch"
     );
-    for (i, (wire, (kind, bits))) in batch.outcomes.iter().zip(&reference).enumerate() {
+    for (i, (wire, local)) in batch.outcomes.iter().zip(&reference).enumerate() {
+        let bits: Option<Vec<bool>> = local
+            .witness
+            .as_ref()
+            .map(|model| sampling_set.iter().map(|&v| model.value(v)).collect());
         assert_eq!(wire.index, i as u64, "stream must be index-ordered");
-        assert_eq!(&wire.kind, kind, "outcome {i} kind diverged");
-        assert_eq!(&wire.witness, bits, "outcome {i} witness bits diverged");
+        assert_eq!(wire.kind, local.kind, "outcome {i} kind diverged");
+        assert_eq!(wire.witness, bits, "outcome {i} witness bits diverged");
     }
 }
 
@@ -89,9 +93,25 @@ fn unix_round_trip_is_bit_identical_and_fingerprint_reusable() {
     let path = handle.unix_path().expect("unix listener bound").clone();
 
     let mut client = Client::connect_unix(&path).expect("client connects");
-    let request = ClientRequest::inline(DIMACS, 16, 42).with_spec(test_spec());
+    let request = ClientRequest::inline(HASHED_DIMACS, 16, 42).with_spec(test_spec());
     let batch = client.sample(&request).expect("batch streams");
-    assert_batch_matches_reference(&batch, 16, 42);
+    assert_batch_matches_reference(&batch, HASHED_DIMACS, 16, 42);
+    // With an unlimited budget the BSAT calls depend only on each index's
+    // hash draws, so the `Done` total equals the in-process one.
+    let reference: SampleStats = reference_outcomes(HASHED_DIMACS, 16, 42)
+        .iter()
+        .map(|o| &o.stats)
+        .sum();
+    assert_eq!(batch.stats.bsat_calls, reference.bsat_calls as u64);
+    assert!(batch.stats.bsat_calls > 0);
+    assert_eq!(
+        (
+            batch.stats.retries,
+            batch.stats.degradations,
+            batch.stats.faults_injected
+        ),
+        (0, 0, 0)
+    );
 
     // Re-request by fingerprint: no DIMACS on the wire, same service
     // entry, and a different master seed still matches in-process.
@@ -99,7 +119,7 @@ fn unix_round_trip_is_bit_identical_and_fingerprint_reusable() {
         .sample(&ClientRequest::by_fingerprint(batch.fingerprint, 8, 7).with_spec(test_spec()))
         .expect("fingerprint re-request streams");
     assert_eq!(again.fingerprint, batch.fingerprint);
-    assert_batch_matches_reference(&again, 8, 7);
+    assert_batch_matches_reference(&again, HASHED_DIMACS, 8, 7);
 
     handle.shutdown();
 }
@@ -128,7 +148,7 @@ fn concurrent_tcp_clients_each_get_bit_identical_batches() {
         .collect();
     for thread in threads {
         let (batch, master_seed) = thread.join().expect("client thread");
-        assert_batch_matches_reference(&batch, 12, master_seed);
+        assert_batch_matches_reference(&batch, DIMACS, 12, master_seed);
     }
 
     handle.shutdown();
@@ -205,20 +225,36 @@ fn malformed_bytes_get_a_typed_error_then_close() {
 
 #[test]
 fn unsat_formula_yields_a_typed_unsat_error() {
-    let handle = serve(unix_config("unsat")).expect("daemon starts");
+    let config = ServeConfig {
+        max_formulas: 2,
+        ..unix_config("unsat")
+    };
+    let handle = serve(config).expect("daemon starts");
     let path = handle.unix_path().expect("unix listener bound").clone();
 
     let mut client = Client::connect_unix(&path).expect("client connects");
-    let request = ClientRequest::inline("p cnf 1 2\n1 0\n-1 0\n", 4, 1).with_spec(test_spec());
-    match client.sample(&request) {
-        Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::Unsat),
-        other => panic!("expected a typed Unsat rejection, got {other:?}"),
+    // Three distinct unsat formulas, each sent twice (the repeat hits the
+    // cached failure), against a registry of two slots: the third clears
+    // the failure cache, which holds two failures at most.
+    for unsat in [
+        "p cnf 1 2\n1 0\n-1 0\n",
+        "p cnf 2 2\n2 0\n-2 0\n",
+        "p cnf 3 2\n3 0\n-3 0\n",
+    ] {
+        for _ in 0..2 {
+            let request = ClientRequest::inline(unsat, 4, 1).with_spec(test_spec());
+            match client.sample(&request) {
+                Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::Unsat),
+                other => panic!("expected a typed Unsat rejection, got {other:?}"),
+            }
+        }
     }
-    // The connection survives a rejected request.
+    // The connection survives a rejected request, and failed prepares
+    // take no registry slot.
     let batch = client
         .sample(&ClientRequest::inline(DIMACS, 4, 9).with_spec(test_spec()))
         .expect("connection still usable");
-    assert_batch_matches_reference(&batch, 4, 9);
+    assert_batch_matches_reference(&batch, DIMACS, 4, 9);
 
     handle.shutdown();
 }
@@ -248,7 +284,7 @@ fn cancel_mid_stream_terminates_and_connection_stays_usable() {
     let batch = client
         .sample(&ClientRequest::inline(DIMACS, 6, 11).with_spec(test_spec()))
         .expect("connection usable after cancel");
-    assert_batch_matches_reference(&batch, 6, 11);
+    assert_batch_matches_reference(&batch, DIMACS, 6, 11);
 
     handle.shutdown();
 }
